@@ -100,7 +100,20 @@ pub struct FeatureExtractor {
     dist_since_landmark: f64,
     predictor: Predictor,
     last_estimate: Option<Point>,
+    /// This epoch's WiFi fingerprint density, shared by the WiFi and
+    /// fusion features.
+    wifi_density: Option<DensityMemo>,
     custom: BTreeMap<SchemeId, CustomFeatureFn>,
+}
+
+/// One density value with the exact inputs it was computed from: the
+/// database's address and the location's bits. Cleared every epoch, so
+/// the address cannot outlive the database it names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DensityMemo {
+    db: usize,
+    loc: Option<(u64, u64)>,
+    value: f64,
 }
 
 impl std::fmt::Debug for FeatureExtractor {
@@ -149,6 +162,7 @@ impl FeatureExtractor {
             dist_since_landmark: 0.0,
             predictor,
             last_estimate: None,
+            wifi_density: None,
             custom: BTreeMap::new(),
         }
     }
@@ -163,6 +177,7 @@ impl FeatureExtractor {
     /// Starts a new epoch: accumulates walked distance and resets the
     /// landmark odometer when the frame carries a landmark recognition.
     pub fn begin_epoch(&mut self, frame: &SensorFrame) {
+        self.wifi_density = None;
         for s in &frame.steps {
             self.dist_since_landmark += s.length_est;
         }
@@ -226,8 +241,11 @@ impl FeatureExtractor {
     /// ground truth here). Returns `None` when the scheme cannot be
     /// meaningfully evaluated from this frame (e.g. no WiFi scan) — the
     /// caller then excludes the scheme (confidence zero).
+    ///
+    /// Takes `&mut self` for the per-epoch WiFi density memo; call
+    /// [`begin_epoch`](Self::begin_epoch) once per frame.
     pub fn features(
-        &self,
+        &mut self,
         ctx: &SharedContext,
         scheme: SchemeId,
         io: IoState,
@@ -247,7 +265,7 @@ impl FeatureExtractor {
     /// scratch; its contents are meaningless to the caller.
     #[allow(clippy::too_many_arguments)]
     pub fn features_into(
-        &self,
+        &mut self,
         ctx: &SharedContext,
         scheme: SchemeId,
         io: IoState,
@@ -278,7 +296,7 @@ impl FeatureExtractor {
                 if matches.is_empty() {
                     return false;
                 }
-                out.push(self.density(&ctx.wifi_db, loc));
+                out.push(self.wifi_density(ctx, loc));
                 out.push(match_deviation(matches.iter().map(|m| m.distance)));
                 true
             }
@@ -308,7 +326,7 @@ impl FeatureExtractor {
                     // Indoors, fingerprint density constrains the fusion
                     // particles (beta_3); outdoors the model reduces to the
                     // motion model.
-                    out.push(self.density(&ctx.wifi_db, loc));
+                    out.push(self.wifi_density(ctx, loc));
                 }
                 true
             }
@@ -319,6 +337,23 @@ impl FeatureExtractor {
                 }
                 None => false,
             },
+        }
+    }
+
+    /// The WiFi fingerprint density at `loc`, computed at most once per
+    /// epoch for a given database and location.
+    fn wifi_density(&mut self, ctx: &SharedContext, loc: Option<Point>) -> f64 {
+        let key = (
+            std::ptr::from_ref(&ctx.wifi_db) as usize,
+            loc.map(|p| (p.x.to_bits(), p.y.to_bits())),
+        );
+        match self.wifi_density {
+            Some(m) if (m.db, m.loc) == key => m.value,
+            _ => {
+                let value = self.density(&ctx.wifi_db, loc);
+                self.wifi_density = Some(DensityMemo { db: key.0, loc: key.1, value });
+                value
+            }
         }
     }
 
@@ -412,7 +447,7 @@ mod tests {
     fn wifi_features_present_in_office_absent_in_basement() {
         let scenario = campus::daily_path(104);
         let ctx = context(&scenario, 105);
-        let fx = FeatureExtractor::new(&ctx);
+        let mut fx = FeatureExtractor::new(&ctx);
         let all = frames(&scenario, 106);
         let mut office_some = 0usize;
         let mut office_total = 0usize;
@@ -484,7 +519,7 @@ mod tests {
     fn corridor_width_feature_varies_by_segment() {
         let scenario = campus::daily_path(110);
         let ctx = context(&scenario, 111);
-        let fx = FeatureExtractor::new(&ctx);
+        let mut fx = FeatureExtractor::new(&ctx);
         let all = frames(&scenario, 112);
         // Find one office frame and one open-space frame.
         let office = all

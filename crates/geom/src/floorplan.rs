@@ -216,7 +216,7 @@ impl FloorPlan {
         self.walls
             .iter()
             .filter_map(|w| w.segment.intersection(&step).map(|p| (w, a.distance_sq(p))))
-            .min_by(|x, y| x.1.partial_cmp(&y.1).expect("finite distances"))
+            .min_by(|x, y| x.1.total_cmp(&y.1))
             .map(|(w, _)| w)
     }
 
@@ -228,18 +228,14 @@ impl FloorPlan {
             .corridors
             .iter()
             .filter(|c| c.contains(p))
-            .min_by(|a, b| {
-                a.distance_to(p).partial_cmp(&b.distance_to(p)).expect("finite distances")
-            })
+            .min_by(|a, b| a.distance_to(p).total_cmp(&b.distance_to(p)))
         {
             return Some(c.width());
         }
         self.corridors
             .iter()
             .filter(|c| c.distance_to(p) <= 2.0 * c.width())
-            .min_by(|a, b| {
-                a.distance_to(p).partial_cmp(&b.distance_to(p)).expect("finite distances")
-            })
+            .min_by(|a, b| a.distance_to(p).total_cmp(&b.distance_to(p)))
             .map(Corridor::width)
     }
 
@@ -248,12 +244,7 @@ impl FloorPlan {
         self.landmarks
             .iter()
             .filter(|l| l.detects(p))
-            .min_by(|a, b| {
-                a.position
-                    .distance(p)
-                    .partial_cmp(&b.position.distance(p))
-                    .expect("finite distances")
-            })
+            .min_by(|a, b| a.position.distance(p).total_cmp(&b.position.distance(p)))
     }
 
     /// Distance from `p` to the nearest landmark (INFINITY when none exist).
@@ -384,6 +375,40 @@ mod tests {
         assert_eq!(a.walls().len(), 3);
         assert_eq!(a.corridors().len(), 1);
         assert_eq!(a.landmarks().len(), 2);
+    }
+
+    #[test]
+    fn per_epoch_geometry_survives_extreme_points() {
+        // Corrupt or runaway positions must not panic the per-epoch
+        // geometry: NaN and ±1e308 make distances NaN or infinite.
+        let mut plan = corridor_plan();
+        // A second corridor and landmark so the min-by comparisons run.
+        let center = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(0.0, 20.0)]).unwrap();
+        plan.add_corridor(Corridor::new(center, 3.0).unwrap());
+        plan.add_landmark(Landmark::new(LandmarkKind::Door, Point::new(0.5, 0.0), 1.5).unwrap());
+        let extremes = [
+            Point::new(f64::NAN, 0.0),
+            Point::new(0.0, f64::NAN),
+            Point::new(1e308, 1e308),
+            Point::new(-1e308, 1e308),
+            Point::new(1e308, -1e308),
+            Point::new(f64::INFINITY, 0.0),
+        ];
+        for &p in &extremes {
+            let _ = plan.corridor_width_at(p);
+            let _ = plan.detected_landmark(p);
+            for &q in &extremes {
+                let _ = plan.blocking_wall(p, q);
+            }
+            let _ = plan.blocking_wall(Point::new(5.0, 0.0), p);
+            let _ = plan.blocking_wall(p, Point::new(5.0, 0.0));
+        }
+        // Finite queries keep their answers.
+        assert_eq!(plan.corridor_width_at(Point::new(10.0, 0.5)), Some(4.0));
+        let hit = plan.blocking_wall(Point::new(5.0, 0.0), Point::new(5.0, 10.0)).unwrap();
+        assert_eq!(hit.segment.a.y, 2.0);
+        let seen = plan.detected_landmark(Point::new(0.3, 0.0)).unwrap();
+        assert_eq!(seen.position, Point::new(0.5, 0.0));
     }
 
     #[test]

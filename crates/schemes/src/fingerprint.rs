@@ -174,6 +174,18 @@ impl<S: RssiLike> FingerprintDb<S> {
         matches
     }
 
+    /// Whether any fingerprint hears at least one of the scan's APs —
+    /// exactly `!match_scan(scan, 1).is_empty()`, without scoring.
+    pub fn hears_any(&self, scan: &S) -> bool {
+        self.index.hears_any(scan)
+    }
+
+    /// The signal index (slabs, inverted index and spatial grid) built
+    /// over the entries.
+    pub(crate) fn index(&self) -> &SignalIndex {
+        &self.index
+    }
+
     /// Average spacing of fingerprints around `p`: the paper's spatial
     /// density feature (`beta_1`) — "measured by the average distance
     /// between two fingerprints around the location under consideration".
@@ -183,6 +195,13 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// fingerprints are in range (density undefined — treat as very sparse).
     pub fn local_density(&self, p: Point, radius: f64) -> Option<f64> {
         self.index.local_density(p, radius)
+    }
+
+    /// The retained linear reference of
+    /// [`local_density`](Self::local_density), kept for the differential
+    /// suite; it is not used on the hot path.
+    pub fn local_density_linear(&self, p: Point, radius: f64) -> Option<f64> {
+        self.index.local_density_linear(p, radius)
     }
 
     /// Thins the database so remaining fingerprints are at least

@@ -15,18 +15,10 @@
 //! not the baseline's.
 
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::{FingerprintMatch, WifiFingerprintDb};
-use crate::index::SpatialGrid;
+use crate::fingerprint::WifiFingerprintDb;
 use crate::pdr::{PdrConfig, PdrCore};
 use uniloc_geom::{FloorPlan, Point};
 use uniloc_sensors::{SensorFrame, WifiScan};
-
-/// Grid cell size (m) of the spatial hash over fingerprint positions (the
-/// per-particle nearest-fingerprint loop would otherwise be quadratic).
-const GRID_CELL_M: f64 = 5.0;
-
-/// Candidates retained for availability checks.
-const FUSION_TOP_K: usize = 5;
 
 /// Likelihood floor: keeps particle weights positive so one scan cannot
 /// annihilate the cloud.
@@ -35,16 +27,51 @@ const LIKELIHOOD_FLOOR: f64 = 0.05;
 /// RSSI likelihood kernel width (dB).
 const RSSI_SIGMA_DB: f64 = 8.0;
 
+/// Missing-AP penalty (dB) of the particle-scoring RSSI distance.
+const MISSING_PENALTY_DBM: f64 = 12.0;
+
+/// Per-epoch memo of the RSSI likelihood keyed by fingerprint index: the
+/// cloud's particles share a handful of nearest fingerprints, so each
+/// distinct fingerprint is scored once per scan. A slot is valid when
+/// its stamp equals the current epoch stamp, so starting an epoch clears
+/// nothing. Sized at construction; the epoch loop never allocates.
+#[derive(Debug, Clone)]
+struct LikelihoodMemo {
+    stamps: Vec<u32>,
+    values: Vec<f64>,
+    epoch: u32,
+}
+
+impl LikelihoodMemo {
+    fn new(n: usize) -> Self {
+        LikelihoodMemo { stamps: vec![0; n], values: vec![0.0; n], epoch: 0 }
+    }
+
+    /// Invalidates every slot.
+    fn begin_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The memoized value of slot `i`, computing it on first use.
+    fn get_or_insert_with(&mut self, i: usize, f: impl FnOnce() -> f64) -> f64 {
+        if self.stamps[i] != self.epoch {
+            self.values[i] = f();
+            self.stamps[i] = self.epoch;
+        }
+        self.values[i]
+    }
+}
+
 /// The WiFi + PDR fusion scheme.
 #[derive(Debug, Clone)]
 pub struct FusionScheme {
     core: PdrCore,
     db: WifiFingerprintDb,
-    index: SpatialGrid,
-    fingerprints: Vec<WifiScan>,
-    /// Match scratch, recycled across epochs so steady-state reweighting
-    /// performs no heap allocation.
-    match_buf: Vec<FingerprintMatch>,
+    memo: LikelihoodMemo,
 }
 
 impl FusionScheme {
@@ -57,16 +84,8 @@ impl FusionScheme {
         db: WifiFingerprintDb,
         seed: u64,
     ) -> Self {
-        let (positions, fingerprints): (Vec<Point>, Vec<WifiScan>) =
-            db.entries().map(|(p, s)| (p, s.clone())).unzip();
-        let index = SpatialGrid::build(positions, GRID_CELL_M);
-        FusionScheme {
-            core: PdrCore::new(plan, start, config, seed),
-            db,
-            index,
-            fingerprints,
-            match_buf: Vec::new(),
-        }
+        let memo = LikelihoodMemo::new(db.len());
+        FusionScheme { core: PdrCore::new(plan, start, config, seed), db, memo }
     }
 
     /// The offline database (shared with UniLoc's feature extractor).
@@ -81,11 +100,7 @@ impl FusionScheme {
     /// low-quality RSSIs really do drag the estimate, as the paper observes
     /// at the 180 m mark of the daily path.
     fn rssi_reweight(&mut self, scan: &WifiScan) {
-        if scan.is_empty() || self.db.is_empty() {
-            return;
-        }
-        self.db.match_scan_into(scan, FUSION_TOP_K, &mut self.match_buf);
-        if self.match_buf.is_empty() {
+        if !self.db.hears_any(scan) {
             return;
         }
         // Travi-Navi weighting: each particle is scored by the RSSI
@@ -101,11 +116,40 @@ impl FusionScheme {
         // estimated location depart from the user's true location".
         // Recognizing that variation is UniLoc's job, not the baseline's.
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
-        let index = &self.index;
-        let fingerprints = &self.fingerprints;
+        let index = self.db.index();
+        let memo = &mut self.memo;
+        memo.begin_epoch();
         let _ = self.core.pf.reweight(|p| {
             let l = match index.nearest(p.pos) {
-                Some(i) => match scan.distance(&fingerprints[i], 12.0) {
+                Some(i) => memo.get_or_insert_with(i, || {
+                    match index.entry_distance(scan, i, MISSING_PENALTY_DBM) {
+                        Some(d) => (-d * d / two_sigma2).exp(),
+                        None => 0.0,
+                    }
+                }),
+                None => 0.0,
+            };
+            LIKELIHOOD_FLOOR + l
+        });
+        self.core
+            .pf
+            .maybe_resample(self.core.config.resample_frac, &mut self.core.rng);
+    }
+
+    /// The unmemoized reweight the memo must reproduce: top-k match for
+    /// the availability test, then every particle scored against a copy
+    /// of its nearest fingerprint's scan.
+    #[cfg(test)]
+    fn rssi_reweight_reference(&mut self, scan: &WifiScan) {
+        if scan.is_empty() || self.db.is_empty() || self.db.match_scan(scan, 5).is_empty() {
+            return;
+        }
+        let fingerprints: Vec<WifiScan> = self.db.entries().map(|(_, s)| s.clone()).collect();
+        let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
+        let index = self.db.index();
+        let _ = self.core.pf.reweight(|p| {
+            let l = match index.nearest(p.pos) {
+                Some(i) => match scan.distance(&fingerprints[i], MISSING_PENALTY_DBM) {
                     Some(d) => (-d * d / two_sigma2).exp(),
                     None => 0.0,
                 },
@@ -117,6 +161,16 @@ impl FusionScheme {
             .pf
             .maybe_resample(self.core.config.resample_frac, &mut self.core.rng);
     }
+
+    /// Advances the PDR core through the frame's steps and landmark.
+    fn advance(&mut self, frame: &SensorFrame) {
+        for step in &frame.steps {
+            self.core.advance_step(step);
+        }
+        if let Some(lm) = frame.landmark {
+            self.core.calibrate_landmark(lm.position);
+        }
+    }
 }
 
 impl LocalizationScheme for FusionScheme {
@@ -125,12 +179,7 @@ impl LocalizationScheme for FusionScheme {
     }
 
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
-        for step in &frame.steps {
-            self.core.advance_step(step);
-        }
-        if let Some(lm) = frame.landmark {
-            self.core.calibrate_landmark(lm.position);
-        }
+        self.advance(frame);
         if let Some(scan) = frame.wifi.as_ref() {
             self.rssi_reweight(scan);
         }
@@ -241,6 +290,42 @@ mod tests {
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 98);
         let frames = hub.sample_walk(&walk, 0.5);
         assert!(frames.iter().all(|f| fusion.update(f).is_some()));
+    }
+
+    #[test]
+    fn memoized_reweight_equals_the_unmemoized_reference() {
+        // Two clouds from the same seed, one reweighted through the memo
+        // and one through the reference, must stay bit-identical on a
+        // walk — and on repeated scans, which reuse memo slots across
+        // epochs only through a fresh stamp.
+        let scenario = venues::training_office(111);
+        let mut memoized = build_fusion(&scenario, 112);
+        let mut reference = build_fusion(&scenario, 112);
+        let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(113));
+        let walk = walker.walk(&scenario.route);
+        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 114);
+        let frames = hub.sample_walk(&walk, 0.5);
+        let bits = |s: &FusionScheme| -> Vec<[u64; 3]> {
+            s.core
+                .posterior()
+                .iter()
+                .map(|(p, w)| [p.x.to_bits(), p.y.to_bits(), w.to_bits()])
+                .collect()
+        };
+        let mut reweighted = 0usize;
+        for f in frames.iter().take(60) {
+            memoized.advance(f);
+            reference.advance(f);
+            if let Some(scan) = f.wifi.as_ref() {
+                memoized.rssi_reweight(scan);
+                memoized.rssi_reweight(scan);
+                reference.rssi_reweight_reference(scan);
+                reference.rssi_reweight_reference(scan);
+                reweighted += 1;
+            }
+            assert_eq!(bits(&memoized), bits(&reference), "diverged at t={}", f.t);
+        }
+        assert!(reweighted > 30, "the walk must exercise the reweight ({reweighted})");
     }
 
     #[test]

@@ -21,15 +21,26 @@
 //!   entries, or matching twice through the same database (scratch
 //!   reuse), yields identical output.
 //!
+//! The same standard holds for the rest of the index:
+//!
+//! * the grid-backed `local_density` against the retained
+//!   `local_density_linear` — duplicate positions, tied distances, points
+//!   on cell and radius boundaries, sparse outdoor spacing, far and
+//!   non-finite queries, degenerate radii;
+//! * the dense CSR `SpatialGrid::nearest` against the former `HashMap`
+//!   grid, kept below as the reference;
+//! * `hears_any` against `!match_scan(scan, 1).is_empty()`.
+//!
 //! Equality is asserted on `f64::to_bits`, not `==`: a NaN distance must
 //! match a NaN distance, and `-0.0` must not pass for `0.0`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use uniloc_env::ApId;
 use uniloc_geom::Point;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
 use uniloc_schemes::fingerprint::{FingerprintDb, FingerprintMatch};
+use uniloc_schemes::SpatialGrid;
 use uniloc_sensors::WifiScan;
 
 const REGRESSIONS: &str =
@@ -238,6 +249,274 @@ fn tied_distances_resolve_by_entry_order() {
         |(entries, scan, k)| {
             let db = FingerprintDb::from_entries(entries.clone());
             require_identical(&db.match_scan(scan, *k), &db.match_scan_linear(scan, *k))
+        },
+    );
+}
+
+/// `hears_any` is exactly "a top-1 match exists", on every database and
+/// scan the matcher properties use.
+#[test]
+fn hears_any_equals_a_nonempty_top1_match() {
+    checker("hears_any_equals_a_nonempty_top1_match").run(
+        |rng, scale| {
+            let db = gen_db(rng, scale);
+            let scans: Vec<WifiScan> = (0..4).map(|_| gen_online(rng)).collect();
+            (db, scans)
+        },
+        |(db, scans)| {
+            for scan in scans {
+                require_eq!(db.hears_any(scan), !db.match_scan(scan, 1).is_empty());
+                require_eq!(db.hears_any(scan), !db.match_scan_linear(scan, 1).is_empty());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A database whose every fingerprint hears one AP: density depends only
+/// on the survey positions.
+fn db_at(positions: &[Point]) -> FingerprintDb<WifiScan> {
+    FingerprintDb::from_entries(
+        positions.iter().map(|&p| (p, WifiScan { readings: vec![(ApId(0), -50.0)] })),
+    )
+}
+
+/// Survey positions in one of several layouts: a jittered indoor grid, a
+/// lattice on exact cell boundaries (multiples of 5 m) with duplicates,
+/// sparse outdoor spacing, a ring at exactly the query radius, or a grid
+/// far from the origin.
+fn gen_positions(rng: &mut Rng, scale: f64) -> Vec<Point> {
+    let n = 2 + (rng.gen_range(0..160usize) as f64 * scale) as usize;
+    match rng.gen_range(0..5u32) {
+        0 => (0..n)
+            .map(|_| {
+                Point::new(
+                    rng.gen_range(0..30u32) as f64 * 1.5 + rng.gen_range(-0.3..0.3),
+                    rng.gen_range(0..12u32) as f64 * 1.5 + rng.gen_range(-0.3..0.3),
+                )
+            })
+            .collect(),
+        1 => (0..n)
+            .map(|_| {
+                let (i, j) = (rng.gen_range(0..12u32), rng.gen_range(0..6u32));
+                Point::new(i as f64 * 5.0, j as f64 * 2.5)
+            })
+            .collect(),
+        2 => (0..n)
+            .map(|_| {
+                let (i, j) = (rng.gen_range(0..40u32), rng.gen_range(0..8u32));
+                Point::new(i as f64 * 12.0, j as f64 * 12.0)
+            })
+            .collect(),
+        3 => {
+            // Pythagorean offsets land exactly on the radius 20 around
+            // (25, 25) — or a hair inside or outside it, where only the
+            // reference `hypot` predicate decides — plus the center and
+            // its duplicates.
+            let ring = [
+                (20.0, 0.0),
+                (0.0, 20.0),
+                (-20.0, 0.0),
+                (0.0, -20.0),
+                (12.0, 16.0),
+                (-16.0, 12.0),
+                (16.0, -12.0),
+            ];
+            let scale = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-15];
+            (0..n)
+                .map(|i| match i % 9 {
+                    k @ 0..=6 => {
+                        let f = scale[(i / 9) % scale.len()];
+                        Point::new(25.0 + ring[k].0 * f, 25.0 + ring[k].1 * f)
+                    }
+                    _ => Point::new(25.0, 25.0),
+                })
+                .collect()
+        }
+        _ => (0..n)
+            .map(|_| {
+                Point::new(
+                    1.0e6 + rng.gen_range(0.0..60.0),
+                    -2.5e5 + rng.gen_range(0.0..30.0),
+                )
+            })
+            .collect(),
+    }
+}
+
+/// A density query: usually near a survey position, sometimes on a cell
+/// corner, far away or non-finite.
+fn gen_query(rng: &mut Rng, positions: &[Point]) -> Point {
+    match rng.gen_range(0..10u32) {
+        0 => Point::new(f64::NAN, 3.0),
+        1 => Point::new(f64::INFINITY, f64::NEG_INFINITY),
+        2 => Point::new(1e308, -1e308),
+        3 => {
+            let (i, j) = (rng.gen_range(-20..20i64), rng.gen_range(-20..20i64));
+            Point::new(i as f64 * 5.0, j as f64 * 5.0)
+        }
+        4 => Point::new(25.0, 25.0),
+        _ => {
+            let q = positions[rng.gen_range(0..positions.len())];
+            Point::new(q.x + rng.gen_range(-8.0..8.0), q.y + rng.gen_range(-8.0..8.0))
+        }
+    }
+}
+
+fn gen_radius(rng: &mut Rng) -> f64 {
+    match rng.gen_range(0..12u32) {
+        0 => 0.0,
+        1 => -1.0,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => rng.gen_range(0.0..60.0),
+        _ => 20.0,
+    }
+}
+
+/// The grid-backed density is bit-identical to the linear reference.
+#[test]
+fn grid_density_equals_linear_reference() {
+    checker("grid_density_equals_linear_reference").run(
+        |rng, scale| {
+            let positions = gen_positions(rng, scale);
+            let queries: Vec<(Point, f64)> =
+                (0..6).map(|_| (gen_query(rng, &positions), gen_radius(rng))).collect();
+            (positions, queries)
+        },
+        |(positions, queries)| {
+            let db = db_at(positions);
+            for &(p, r) in queries {
+                let grid = db.local_density(p, r).map(f64::to_bits);
+                let linear = db.local_density_linear(p, r).map(f64::to_bits);
+                if grid != linear {
+                    return Err(format!(
+                        "query {p:?} radius {r}: grid {grid:?} vs linear {linear:?}"
+                    ));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Degenerate survey coordinates (huge or non-finite) force the
+/// single-bucket grid and the linear density path; both stay exact.
+#[test]
+fn degenerate_surveys_keep_density_exact() {
+    checker("degenerate_surveys_keep_density_exact").run(
+        |rng, scale| {
+            let mut positions = gen_positions(rng, scale);
+            let bad = [
+                Point::new(1e300, 0.0),
+                Point::new(f64::NAN, 1.0),
+                Point::new(3.0, f64::INFINITY),
+            ];
+            positions.push(bad[rng.gen_range(0..bad.len())]);
+            let queries: Vec<(Point, f64)> =
+                (0..4).map(|_| (gen_query(rng, &positions), gen_radius(rng))).collect();
+            (positions, queries)
+        },
+        |(positions, queries)| {
+            let db = db_at(positions);
+            for &(p, r) in queries {
+                require_eq!(
+                    db.local_density(p, r).map(f64::to_bits),
+                    db.local_density_linear(p, r).map(f64::to_bits)
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The pre-CSR spatial grid, verbatim apart from borrowing its positions:
+/// a SipHash map from cell key to the entry indices in insertion order.
+struct HashGrid {
+    cell: f64,
+    buckets: HashMap<(i64, i64), Vec<usize>>,
+}
+
+impl HashGrid {
+    fn build(positions: &[Point], cell: f64) -> Self {
+        let mut buckets: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        for (i, p) in positions.iter().enumerate() {
+            buckets
+                .entry(((p.x / cell).floor() as i64, (p.y / cell).floor() as i64))
+                .or_default()
+                .push(i);
+        }
+        HashGrid { cell, buckets }
+    }
+
+    fn nearest(&self, positions: &[Point], p: Point) -> Option<usize> {
+        let cx = (p.x / self.cell).floor() as i64;
+        let cy = (p.y / self.cell).floor() as i64;
+        let mut best: Option<(usize, f64)> = None;
+        for ring in 0..=3i64 {
+            for dx in -ring..=ring {
+                for dy in -ring..=ring {
+                    if dx.abs() != ring && dy.abs() != ring {
+                        continue; // only the ring boundary
+                    }
+                    if let Some(ids) = self.buckets.get(&(cx + dx, cy + dy)) {
+                        for &i in ids {
+                            let d = positions[i].distance_sq(p);
+                            if best.is_none_or(|(_, bd)| d < bd) {
+                                best = Some((i, d));
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some((_, d)) = best {
+                if d.sqrt() < (ring as f64) * self.cell {
+                    break;
+                }
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+}
+
+/// The dense CSR grid returns the same index as the `HashMap` grid for
+/// every query: same rings, same visiting order, same strict `<` ties.
+#[test]
+fn dense_grid_nearest_equals_hashmap_reference() {
+    checker("dense_grid_nearest_equals_hashmap_reference").run(
+        |rng, scale| {
+            let mut positions = gen_positions(rng, scale);
+            // Queries stay finite and moderate: the reference's `cx + dx`
+            // overflows on keys near `i64::MAX`.
+            let anchors = positions.clone();
+            if rng.gen_range(0..8u32) == 0 {
+                positions.push(Point::new(1e300, f64::NAN));
+            }
+            let cell = [5.0, 1.0, 2.5, 7.3][rng.gen_range(0..4usize)];
+            let queries: Vec<Point> = (0..24)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => Point::new(f64::NAN, rng.gen_range(-10.0..10.0)),
+                    1 => Point::new(rng.gen_range(-1e6..1e6), rng.gen_range(-1e6..1e6)),
+                    2 => {
+                        let (i, j) = (rng.gen_range(-4..20i64), rng.gen_range(-4..20i64));
+                        Point::new(i as f64 * cell, j as f64 * cell)
+                    }
+                    _ => {
+                        let q = anchors[rng.gen_range(0..anchors.len())];
+                        let (dx, dy) = (rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0));
+                        Point::new(q.x + dx, q.y + dy)
+                    }
+                })
+                .collect();
+            (positions, cell, queries)
+        },
+        |(positions, cell, queries)| {
+            let dense = SpatialGrid::build(positions, *cell);
+            let reference = HashGrid::build(positions, *cell);
+            for &q in queries {
+                require_eq!(dense.nearest(positions, q), reference.nearest(positions, q));
+            }
+            Ok(())
         },
     );
 }

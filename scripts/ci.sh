@@ -61,6 +61,14 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets (offline, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The repository benchmark (`perfbench/`) is its own Cargo workspace that
+# links the crates by path, so the workspace build above never compiles
+# it: build and self-test it here, so a change to a public type it uses
+# fails CI instead of the next benchmark run.
+echo "==> perfbench build + self-tests (offline)"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # --- 3. metrics smoke ----------------------------------------------------
 # Run a short scenario with the observability sidecar enabled, then assert
 # the JSONL parses with the in-repo reader (via inspect-metrics) and
