@@ -22,7 +22,8 @@ fn main() {
     let walks: Vec<_> =
         (0..5u64).map(|run| (scenario.clone(), cfg.clone(), 12 + run * 31)).collect();
     let mut all_means: Vec<Vec<f64>> = vec![Vec::new(); SYSTEM_LABELS.len()];
-    for records in uniloc_bench::run_walks_parallel(&walks, &models) {
+    let jobs = uniloc_bench::jobs_from_env();
+    for records in uniloc_bench::run_walks_parallel(&walks, &models, jobs) {
         for (i, label) in SYSTEM_LABELS.iter().enumerate() {
             if let Some(m) = mean_defined(&system_errors(&records, label)) {
                 all_means[i].push(m);

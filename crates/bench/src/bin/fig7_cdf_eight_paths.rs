@@ -31,7 +31,7 @@ fn main() {
     }
     // The walks fan out on UNILOC_JOBS workers; records come back in the
     // same (path, persona) order the sequential loop produced.
-    let runs = uniloc_bench::run_walks_parallel(&walks, &models);
+    let runs = uniloc_bench::run_walks_parallel(&walks, &models, uniloc_bench::jobs_from_env());
     for scenario in &paths {
         println!("  walked {} ({:.0} m) with 3 personas", scenario.name, scenario.route.length());
     }

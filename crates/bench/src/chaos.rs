@@ -1,29 +1,33 @@
 //! The chaos sweep: a deterministic scenario × fault-plan resilience
 //! matrix, shared by `uniloc chaos` and the differential test suite.
 //!
-//! Each cell injects one library fault plan into the exact frame stream
-//! the clean walk consumes ([`pipeline::walk_frames`] +
-//! [`uniloc_faults::FaultInjector`]), replays it through
-//! [`pipeline::run_walk_on_frames`], and reports the error-CDF shift
+//! Each cell injects one library fault plan ([`inject_plan`]) into the
+//! exact frame stream the clean walk consumes ([`pipeline::walk_frames`]),
+//! serves it through a fleet [`Session`], and reports the error-CDF shift
 //! against the clean run, the worst/final degradation-ladder state,
 //! non-finite fused estimates (must always be zero), which schemes were
 //! quarantined and how many epochs past the last fault window the engine
 //! needed to re-admit them.
 //!
-//! The sweep fans out on [`uniloc_core::parallel::run_observed`]: phase A
-//! runs the scenarios' frame generation + clean walks in parallel, phase B
-//! runs every (scenario, plan) cell in parallel. Every job executes under
-//! an isolated observability session and all outputs — reports, violation
-//! list, merged sidecar, progress lines — are assembled on the caller's
-//! thread in canonical cell order, so the sweep's results are
+//! The whole matrix is one fleet run ([`crate::run_walk_batch`]): lanes
+//! `0..S` are the scenarios' clean baselines and lane `S + s·P + p` is
+//! cell `(s, p)`, so lane order is the report order. Every walker steps
+//! under its own isolated observability session, and reports, violation
+//! list, merged sidecar and progress lines are all assembled on the
+//! caller's thread in lane order, so the sweep's results are
 //! byte-identical at any `jobs` count (`tests/parallel_differential.rs`
 //! holds this at jobs ∈ {1, 2, 4, 8}).
 
+use std::sync::Arc;
+
 use uniloc_core::error_model::ErrorModelSet;
-use uniloc_core::parallel::{run_observed, MergedObs};
+use uniloc_core::fleet::FleetSession;
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
+use uniloc_core::session::Session;
 use uniloc_env::{campus, venues, Scenario};
 use uniloc_faults::{FaultInjector, FaultPlan};
+use uniloc_obs::session::{self as obs_session, ObsSession, SessionCapture};
+use uniloc_sensors::SensorFrame;
 use uniloc_stats::json::Json;
 
 /// Resolves the CLI scenario vocabulary (`path1`..`path8`, `mall`,
@@ -125,7 +129,7 @@ pub struct ChaosConfig {
     pub seed: u64,
     pub scenario_names: Vec<String>,
     pub plans: Vec<FaultPlan>,
-    /// Worker-thread count for the fan-out; `1` runs everything inline on
+    /// Worker-thread count for the fleet run; `1` runs everything inline on
     /// the caller's thread. The artifacts are identical at any value.
     pub jobs: usize,
 }
@@ -149,82 +153,134 @@ impl ChaosReport {
 
 /// The sweep's complete output: per-scenario reports in request order, the
 /// resilience-contract violations in canonical cell order, and the merged
-/// observability sidecar of every job.
+/// observability sidecar of every walker.
 pub struct ChaosSweep {
     pub reports: Vec<ChaosReport>,
     pub violations: Vec<String>,
-    pub obs: MergedObs,
+    pub obs: SessionCapture,
 }
 
-/// Per-scenario output of phase A: the frame stream every cell replays and
-/// the clean baseline it is scored against.
-struct ScenarioBase {
-    scenario: Scenario,
-    frames: Vec<uniloc_sensors::SensorFrame>,
-    clean_epochs: usize,
-    clean_mean: Option<f64>,
-    clean_p50: Option<f64>,
-    clean_p90: Option<f64>,
+/// Injects `plan` into `frames` on the plan's own fault stream, seeded by
+/// `root_seed` XOR a hash of the plan's index-free name, so re-running a
+/// sweep or a fleet bit-reproduces every faulted stream. The chaos sweep
+/// roots it at the sweep seed, the fleet at each walker's seed. The
+/// `faults.injected.*` counters land in the calling thread's
+/// observability session. Returns the faulted frames and the number of
+/// faults applied.
+pub fn inject_plan(
+    plan: FaultPlan,
+    root_seed: u64,
+    scenario: &Scenario,
+    frames: &[SensorFrame],
+) -> (Vec<SensorFrame>, usize) {
+    let fault_seed = root_seed
+        ^ plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
+    let mut injector =
+        FaultInjector::new(plan, fault_seed).with_geo_frame(*scenario.world.geo_frame());
+    let faulted = injector.inject_walk(frames);
+    (faulted, injector.events().len())
 }
 
-/// Runs the scenario × plan matrix and assembles every output in
-/// canonical order. Progress lines are emitted from the caller's thread
-/// after each phase merges, so stderr output is deterministic too.
+/// A scenario's clean baseline: the error statistics every cell is scored
+/// against.
+struct Baseline {
+    epochs: usize,
+    mean: Option<f64>,
+    p50: Option<f64>,
+    p90: Option<f64>,
+}
+
+impl Baseline {
+    fn of(records: &[EpochRecord]) -> Baseline {
+        let (mean, p50, p90) = error_stats(records);
+        Baseline { epochs: records.len(), mean, p50, p90 }
+    }
+}
+
+/// Runs the scenario × plan matrix as one fleet run and assembles every
+/// output in canonical order. Progress lines are emitted from the
+/// caller's thread in lane order, so stderr output is deterministic too.
 ///
 /// # Errors
 ///
-/// Returns the first unknown scenario name, in request order.
+/// Returns the first unknown scenario name, in request order, and any
+/// walker that panicked until the fleet's supervision poisoned it.
 pub fn run_sweep(
     models: &ErrorModelSet,
     cfg: &PipelineConfig,
     sweep: &ChaosConfig,
 ) -> Result<ChaosSweep, String> {
     let seed = sweep.seed;
-    let jobs = sweep.jobs.max(1);
+    let walk_seed = seed + 100;
 
-    // Phase A: per-scenario frame generation + clean baseline walk.
-    let (bases, obs_a) = run_observed(&sweep.scenario_names, jobs, |_, name| {
-        let scenario = scenario_by_name(name, seed)?;
-        let frames = pipeline::walk_frames(&scenario, cfg, seed + 100);
-        let clean = pipeline::run_walk_on_frames(&scenario, models, cfg, seed + 100, &frames);
-        let (clean_mean, clean_p50, clean_p90) = error_stats(&clean);
-        Ok(ScenarioBase {
-            scenario,
-            frames,
-            clean_epochs: clean.len(),
-            clean_mean,
-            clean_p50,
-            clean_p90,
-        })
-    });
-    let bases: Vec<ScenarioBase> = bases.into_iter().collect::<Result<_, String>>()?;
-    for base in &bases {
+    // Each scenario and its clean frame stream, built once, in request
+    // order; every lane of the scenario shares them.
+    let mut scenarios = Vec::with_capacity(sweep.scenario_names.len());
+    for name in &sweep.scenario_names {
+        let scenario = Arc::new(scenario_by_name(name, seed)?);
+        let frames = pipeline::walk_frames(&scenario, cfg, walk_seed);
         uniloc_obs::info!(
             "chaos: {} — {} epochs, {} plan(s)",
-            base.scenario.name,
-            base.frames.len(),
+            scenario.name,
+            frames.len(),
             sweep.plans.len()
         );
+        scenarios.push((scenario, frames));
     }
 
-    // Phase B: every (scenario, plan) cell, scenario-major order.
-    let cells: Vec<(usize, usize)> = (0..bases.len())
-        .flat_map(|s| (0..sweep.plans.len()).map(move |p| (s, p)))
+    let models = Arc::new(models.clone());
+    let builder = |name: String, obs: Arc<ObsSession>, scenario: &Arc<Scenario>, frames| {
+        let (scenario, models, cfg) = (Arc::clone(scenario), Arc::clone(&models), cfg.clone());
+        move |lane| {
+            FleetSession::build_with_obs(lane, name, obs, move || {
+                (Session::new(scenario, &models, &cfg, walk_seed), frames)
+            })
+        }
+    };
+    // Lanes 0..S: the clean baselines.
+    let mut builders: Vec<_> = scenarios
+        .iter()
+        .map(|(scenario, frames)| {
+            let obs = Arc::new(ObsSession::isolated());
+            builder(scenario.name.clone(), obs, scenario, frames.clone())
+        })
         .collect();
-    let (outcomes, obs_b) = run_observed(&cells, jobs, |_, &(s, p)| {
-        run_cell(&bases[s], &sweep.plans[p], models, cfg, seed)
-    });
+    // Lane S + s·P + p: cell (s, p). Injection runs under the walker's own
+    // session, so its `faults.injected.*` counters land in the cell's
+    // capture.
+    let mut injected_events = Vec::with_capacity(scenarios.len() * sweep.plans.len());
+    for (scenario, frames) in &scenarios {
+        for plan in &sweep.plans {
+            let obs = Arc::new(ObsSession::isolated());
+            let guard = obs_session::install(Arc::clone(&obs));
+            let (faulted, events) = inject_plan(plan.clone(), seed, scenario, frames);
+            drop(guard);
+            injected_events.push(events);
+            let name = format!("{}/{}", scenario.name, plan.name);
+            builders.push(builder(name, obs, scenario, faulted));
+        }
+    }
+    let walkers = crate::run_walk_batch(sweep.jobs, builders)?;
+    let (clean_runs, cell_runs) = walkers.split_at(scenarios.len());
+    // The baselines' captures fold first, then the cells', then the two
+    // merge: histogram sums are floats, so the grouping is part of the
+    // sidecar's bytes.
+    let mut obs = crate::merge_captures(clean_runs)?;
+    obs.merge(&crate::merge_captures(cell_runs)?)
+        .map_err(|e| format!("observability merge failed: {e}"))?;
 
-    let mut obs = obs_a;
-    obs.absorb(&obs_b).map_err(|e| format!("observability merge failed: {e}"))?;
-
-    // Assemble reports and the violation list in canonical cell order.
-    let mut outcomes = outcomes.into_iter();
-    let mut reports = Vec::with_capacity(bases.len());
+    // Assemble reports and the violation list in lane order.
+    let mut cells = cell_runs.iter().zip(injected_events);
+    let mut reports = Vec::with_capacity(scenarios.len());
     let mut violations = Vec::new();
-    for base in &bases {
-        let scenario_outcomes: Vec<ChaosOutcome> =
-            outcomes.by_ref().take(sweep.plans.len()).collect();
+    for ((scenario, _), clean) in scenarios.iter().zip(clean_runs) {
+        let base = Baseline::of(&clean.records);
+        let scenario_outcomes: Vec<ChaosOutcome> = sweep
+            .plans
+            .iter()
+            .zip(cells.by_ref())
+            .map(|(plan, (cell, events))| score_cell(plan, &cell.records, events, &base))
+            .collect();
         for outcome in &scenario_outcomes {
             uniloc_obs::info!(
                 "  {:<16} events={:<4} shift mean {:+.1} m p90 {:+.1} m worst={} recover={}",
@@ -237,7 +293,7 @@ pub fn run_sweep(
                     .epochs_to_recover
                     .map_or_else(|| "never".to_owned(), |e| format!("{e} epochs")),
             );
-            let name = &base.scenario.name;
+            let name = &scenario.name;
             if outcome.lost_terminal {
                 violations
                     .push(format!("{}/{}: terminal ladder state is lost", name, outcome.plan));
@@ -256,10 +312,10 @@ pub fn run_sweep(
             }
         }
         let report = Json::Obj(vec![
-            ("scenario".into(), Json::Str(base.scenario.name.clone())),
+            ("scenario".into(), Json::Str(scenario.name.clone())),
             ("seed".into(), Json::Int(seed as i64)),
-            ("epochs".into(), Json::Int(base.clean_epochs as i64)),
-            ("clean_mean_m".into(), base.clean_mean.map_or(Json::Null, Json::Num)),
+            ("epochs".into(), Json::Int(base.epochs as i64)),
+            ("clean_mean_m".into(), base.mean.map_or(Json::Null, Json::Num)),
             (
                 "runs".into(),
                 Json::Arr(scenario_outcomes.iter().map(ChaosOutcome::to_json).collect()),
@@ -267,7 +323,7 @@ pub fn run_sweep(
         ])
         .canonical();
         reports.push(ChaosReport {
-            scenario: base.scenario.name.clone(),
+            scenario: scenario.name.clone(),
             report,
             outcomes: scenario_outcomes,
         });
@@ -276,34 +332,21 @@ pub fn run_sweep(
     Ok(ChaosSweep { reports, violations, obs })
 }
 
-/// One (scenario, plan) cell: inject, replay, score against the clean
-/// baseline.
-fn run_cell(
-    base: &ScenarioBase,
+/// Scores one (scenario, plan) cell's records against the clean baseline.
+fn score_cell(
     plan: &FaultPlan,
-    models: &ErrorModelSet,
-    cfg: &PipelineConfig,
-    seed: u64,
+    records: &[EpochRecord],
+    injected_events: usize,
+    base: &Baseline,
 ) -> ChaosOutcome {
-    // Each cell draws from its own fault stream, derived from the sweep
-    // seed and the plan's index-free name — re-running the sweep
-    // bit-reproduces every cell.
-    let chaos_seed =
-        seed ^ plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-    let mut injector = FaultInjector::new(plan.clone(), chaos_seed)
-        .with_geo_frame(*base.scenario.world.geo_frame());
-    let faulted_frames = injector.inject_walk(&base.frames);
-    let records =
-        pipeline::run_walk_on_frames(&base.scenario, models, cfg, seed + 100, &faulted_frames);
-
-    let (faulted_mean, faulted_p50, faulted_p90) = error_stats(&records);
+    let (faulted_mean, faulted_p50, faulted_p90) = error_stats(records);
     let nonfinite_fused =
         records.iter().filter_map(fused_error).filter(|e| !e.is_finite()).count();
     let worst = records.iter().map(|r| r.ladder).max().unwrap_or_default();
     let final_ladder = records.last().map(|r| r.ladder).unwrap_or_default();
     let quarantined_epochs = records.iter().filter(|r| !r.quarantined.is_empty()).count();
     let mut schemes_quarantined: Vec<String> = Vec::new();
-    for r in &records {
+    for r in records {
         for id in &r.quarantined {
             let s = id.to_string();
             if !schemes_quarantined.contains(&s) {
@@ -335,12 +378,12 @@ fn run_cell(
     ChaosOutcome {
         plan: plan.name.clone(),
         epochs: records.len(),
-        injected_events: injector.events().len(),
-        clean_mean: base.clean_mean,
+        injected_events,
+        clean_mean: base.mean,
         faulted_mean,
-        mean_shift: sub(faulted_mean, base.clean_mean),
-        p50_shift: sub(faulted_p50, base.clean_p50),
-        p90_shift: sub(faulted_p90, base.clean_p90),
+        mean_shift: sub(faulted_mean, base.mean),
+        p50_shift: sub(faulted_p50, base.p50),
+        p90_shift: sub(faulted_p90, base.p90),
         worst_ladder: worst.to_string(),
         final_ladder: final_ladder.to_string(),
         lost_terminal: final_ladder == uniloc_core::DegradationLadder::Lost,

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::chaos::{error_stats, fused_error, scenario_by_name};
+use crate::chaos::{error_stats, fused_error, inject_plan, scenario_by_name};
 use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::fleet::{
     check_checkpoint_version, CheckpointError, FinishedSession, FleetEvent, FleetRunStats,
@@ -29,7 +29,7 @@ use uniloc_core::fleet::{
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
 use uniloc_env::{GaitProfile, Scenario};
-use uniloc_faults::{FaultInjector, FaultPlan};
+use uniloc_faults::FaultPlan;
 use uniloc_obs::fleet::{FleetAggregator, FleetSnapshot, SessionMeta};
 use uniloc_obs::ObsSession;
 use uniloc_rng::split_seed;
@@ -203,8 +203,8 @@ pub fn spec_scenario(spec: &SessionSpec) -> Scenario {
 }
 
 /// The spec's frame stream: the walk, truncated to `max_epochs` (when
-/// nonzero), then fault-injected when the spec names a plan — the same
-/// chaos-seed discipline as the chaos sweep.
+/// nonzero), then fault-injected when the spec names a plan — through the
+/// chaos sweep's [`inject_plan`], rooted at the spec's seed.
 pub fn spec_frames(
     scenario: &Scenario,
     cfg: &PipelineConfig,
@@ -220,11 +220,7 @@ pub fn spec_frames(
     }
     let plan = FaultPlan::by_name(&spec.plan)
         .unwrap_or_else(|| panic!("unknown fault plan {}", spec.plan));
-    let chaos_seed = spec.seed
-        ^ plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-    let mut injector =
-        FaultInjector::new(plan, chaos_seed).with_geo_frame(*scenario.world.geo_frame());
-    injector.inject_walk(&frames)
+    inject_plan(plan, spec.seed, scenario, &frames).0
 }
 
 /// Builds the spec's [`FleetSession`] — venue, frames and serving session,
@@ -273,9 +269,10 @@ pub fn build_session_with_obs(
     fleet_session
 }
 
-/// Restores a checkpointed walker: rebuilds from the spec and silently
-/// replays to the cursor, after which it records only post-checkpoint
-/// epochs. Determinism makes this byte-equivalent to never having stopped.
+/// Restores a checkpointed walker: rebuilds from the spec and replays to
+/// the cursor *with recording*, so the restored session holds exactly the
+/// records and capture an uninterrupted serve had at that cursor.
+/// Determinism makes this byte-equivalent to never having stopped.
 pub fn restore_session(
     ckpt: &SessionCheckpoint,
     models: Arc<ErrorModelSet>,
@@ -283,7 +280,7 @@ pub fn restore_session(
     max_epochs: usize,
 ) -> FleetSession {
     let mut session = build_session(SessionSpec::from_checkpoint(ckpt), models, base, max_epochs);
-    session.replay_to(ckpt.cursor as usize);
+    session.replay_recorded(ckpt.cursor as usize);
     session
 }
 

@@ -3,8 +3,8 @@
 //! Every table and figure in the paper's evaluation (Section V) has a
 //! binary in `src/bin/` that regenerates it against the simulated substrate
 //! (see `DESIGN.md` for the per-experiment index). This library holds what
-//! they share: the one-time error-model training, walk aggregation and
-//! plain-text table/series printing.
+//! they share: the one-time error-model training, walk batches on the
+//! fleet scheduler, walk aggregation and plain-text table/series printing.
 
 pub mod chaos;
 pub mod fleet;
@@ -14,8 +14,11 @@ pub mod regression;
 use std::sync::Arc;
 
 use uniloc_core::error_model::{train, ErrorModelSet};
+use uniloc_core::fleet::{FinishedSession, FleetScheduler, FleetSession};
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
+use uniloc_core::session::Session;
 use uniloc_env::{venues, Scenario};
+use uniloc_obs::session::SessionCapture;
 use uniloc_obs::{StderrSubscriber, TraceLevel};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
@@ -95,25 +98,89 @@ pub fn jobs_from_env() -> usize {
         })
 }
 
-/// Runs one [`pipeline::run_walk`] per `(scenario, cfg, seed)` triple on
-/// up to [`jobs_from_env`] workers, returning records in input order.
-/// Each walk executes under an isolated observability session; the merged
-/// span-timing metrics are re-absorbed into the process registry
-/// afterward, so [`write_latency_breakdown`] sees the same histograms as
-/// a sequential run.
+/// Fleet tick for batches of whole walks: longer than any walk, so every
+/// session is built in its admission round and served to its last frame
+/// in the next. The results never depend on the tick or the resident cap
+/// (`DESIGN.md` §9); this value only keeps the rounds, and with them the
+/// per-round pool start-ups, to a minimum.
+const WHOLE_WALK_TICK_S: f64 = 1e6;
+
+/// Runs a batch of independent walks as one [`FleetScheduler`] run: one
+/// lane per builder, numbered by position, on up to `jobs` workers. Each
+/// builder receives its lane and returns the walker's [`FleetSession`].
+/// Returns the finished walkers in lane order, whatever `jobs` is.
+///
+/// # Errors
+///
+/// A walker that panicked until the supervision policy poisoned it.
+pub fn run_walk_batch<B>(jobs: usize, builders: Vec<B>) -> Result<Vec<FinishedSession>, String>
+where
+    B: FnOnce(u64) -> FleetSession + Send + 'static,
+{
+    let lanes = builders.len();
+    // At most `jobs` walkers live at once, which bounds memory by the
+    // worker count rather than by the batch size.
+    let mut scheduler = FleetScheduler::new(jobs, WHOLE_WALK_TICK_S, jobs);
+    for (lane, build) in (0u64..).zip(builders) {
+        scheduler.admit(lane, move || build(lane));
+    }
+    let mut finished = Vec::with_capacity(lanes);
+    scheduler.run(|f| finished.push(f));
+    match finished.iter().find_map(|f| Some((&f.name, f.poisoned.as_ref()?))) {
+        Some((name, failure)) => Err(format!("walk {name} failed: {failure}")),
+        None => Ok(finished),
+    }
+}
+
+/// Folds the walkers' observability captures in the order given
+/// ([`SessionCapture::merge`]).
+///
+/// # Errors
+///
+/// Captures whose histogram or calibration layouts disagree.
+pub fn merge_captures(walkers: &[FinishedSession]) -> Result<SessionCapture, String> {
+    let mut merged = SessionCapture::default();
+    for walker in walkers {
+        merged.merge(&walker.capture).map_err(|e| format!("observability merge failed: {e}"))?;
+    }
+    Ok(merged)
+}
+
+/// Runs one walk per `(scenario, cfg, seed)` triple — the records
+/// [`pipeline::run_walk`] returns — on up to `jobs` workers, in input
+/// order. The walkers' merged metrics are absorbed into the process
+/// registry afterward, so [`write_latency_breakdown`] sees their span
+/// timings at any `jobs`.
+///
+/// # Panics
+///
+/// Panics when a walk panics (see [`run_walk_batch`]).
 pub fn run_walks_parallel(
     walks: &[(Scenario, PipelineConfig, u64)],
     models: &ErrorModelSet,
+    jobs: usize,
 ) -> Vec<Vec<EpochRecord>> {
-    let jobs = jobs_from_env();
-    let (records, obs) =
-        uniloc_core::parallel::run_observed(walks, jobs, |_, (scenario, cfg, seed)| {
-            pipeline::run_walk(scenario, models, cfg, *seed)
-        });
-    if let Err(e) = uniloc_obs::process_metrics().absorb(&obs.metrics) {
+    let models = Arc::new(models.clone());
+    let builders: Vec<_> = walks
+        .iter()
+        .map(|(scenario, cfg, seed)| {
+            let (scenario, cfg, seed) = (Arc::new(scenario.clone()), cfg.clone(), *seed);
+            let models = Arc::clone(&models);
+            move |lane| {
+                FleetSession::build(lane, scenario.name.clone(), move || {
+                    let frames = pipeline::walk_frames(&scenario, &cfg, seed);
+                    (Session::new(scenario, &models, &cfg, seed), frames)
+                })
+            }
+        })
+        .collect();
+    let finished = run_walk_batch(jobs, builders)
+        .and_then(|finished| Ok((merge_captures(&finished)?, finished)));
+    let (capture, finished) = finished.unwrap_or_else(|e| panic!("{e}"));
+    if let Err(e) = uniloc_obs::process_metrics().absorb(&capture.metrics) {
         uniloc_obs::warn!("bench metrics re-absorb failed: {e}");
     }
-    records
+    finished.into_iter().map(|f| f.records).collect()
 }
 
 /// The labels used across printed tables, in the paper's order.

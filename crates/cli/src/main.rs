@@ -509,12 +509,12 @@ fn cmd_bench_diff(flags: &BTreeMap<String, String>) -> Result<(), String> {
 }
 
 /// `uniloc chaos`: sweeps a scenario × fault-plan matrix deterministically
-/// on up to `--jobs N` worker threads (default: the machine's available
-/// cores) and writes one resilience report per scenario to `--out DIR`
-/// (default `results/`) as `CHAOS_<scenario>.json`. The sweep itself lives
-/// in [`uniloc_bench::chaos`]; results merge in canonical cell order, so
-/// the artifacts are byte-identical at any `--jobs` value and `--jobs 1`
-/// runs the historical single-threaded path. `--strict` turns the
+/// as one fleet run on up to `--jobs N` worker threads (default: the
+/// machine's available cores) and writes one resilience report per
+/// scenario to `--out DIR` (default `results/`) as `CHAOS_<scenario>.json`.
+/// The sweep itself lives in [`uniloc_bench::chaos`]; results merge in
+/// canonical lane order, so the artifacts are byte-identical at any
+/// `--jobs` value and `--jobs 1` steps every walker inline. `--strict` turns the
 /// resilience contract into an exit code: a terminal `lost` ladder state,
 /// any non-finite fused estimate, or a quarantine that never lifts fails
 /// the command — the CI smoke gate runs exactly this against the `smoke`
@@ -554,8 +554,8 @@ fn cmd_chaos(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>)
         uniloc_obs::info!("wrote {path}");
     }
 
-    // The workers ran under isolated observability sessions; their merged
-    // sidecar (job-ordered, jobs-count-invariant) lands in the --metrics
+    // The walkers ran under isolated observability sessions; their merged
+    // sidecar (lane-ordered, jobs-count-invariant) lands in the --metrics
     // file after the trace events that streamed from the main thread.
     if let Some(e) = exporter {
         for line in sweep.obs.metrics.jsonl_lines() {

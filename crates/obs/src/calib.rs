@@ -219,7 +219,7 @@ impl CalibrationSnapshot {
     }
 
     /// Merges two snapshots deterministically, `self` being the earlier
-    /// operand in canonical job order. Cells are matched by
+    /// operand in canonical lane order. Cells are matched by
     /// `(scheme, io)`: counts (`n`, `dropped`, `pit_counts`,
     /// `drift_alarms`) add, coverage and means combine weighted by each
     /// side's `n`, and the trailing CUSUM state comes from `later` when it

@@ -36,10 +36,11 @@
 //!   deterministic span-count profiler (collapsed-stack + stage tree),
 //!   and the SLO health plane behind `FLEET_HEALTH.json` and
 //!   `uniloc inspect-fleet`.
-//! * [`session`] — per-thread observability sessions for parallel sweeps:
-//!   installing an [`ObsSession`] redirects every `global_*` accessor on
-//!   the current thread to private state that can be captured and merged
-//!   deterministically in job order afterward.
+//! * [`session`] — per-thread observability sessions for concurrent
+//!   walkers: installing an [`ObsSession`] redirects every `global_*`
+//!   accessor on the current thread to private state that can be captured
+//!   and merged deterministically in lane order afterward
+//!   ([`SessionCapture::merge`](session::SessionCapture::merge)).
 //!
 //! # Determinism contract
 //!

@@ -324,7 +324,7 @@ impl MetricsSnapshot {
     }
 
     /// Merges two snapshots deterministically, `self` being the earlier
-    /// operand in canonical job order: counters add, gauges are
+    /// operand in canonical lane order: counters add, gauges are
     /// last-writer-wins (`later` overrides where both set a gauge),
     /// histograms bucket-merge. Names are unioned and the result stays
     /// sorted. Errors when two histograms of the same name disagree on

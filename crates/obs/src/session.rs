@@ -1,22 +1,24 @@
-//! Per-thread observability sessions for parallel sweeps.
+//! Per-thread observability sessions for concurrent walkers.
 //!
 //! The process-wide singletons ([`global_metrics`](crate::global_metrics),
 //! [`global_calibration`](crate::global_calibration),
 //! [`global_flight`](crate::global_flight) and the
 //! [`Dispatcher`](crate::trace::Dispatcher)'s subscriber/clock) are the
 //! right model for one walk at a time, but a parallel sweep interleaves
-//! many walks: counters from different jobs would mix nondeterministically
-//! and span timings would race. An [`ObsSession`] gives one job its own
+//! many walks: counters from different walkers would mix nondeterministically
+//! and span timings would race. An [`ObsSession`] gives one walker its own
 //! registry, calibration monitor, flight recorder and clock; installing it
 //! ([`install`]) redirects every `global_*` accessor *on the current
 //! thread* to the session for the lifetime of the returned guard.
 //!
-//! The sweep engine (`uniloc-core::parallel`) installs one isolated
-//! session per job — at every worker count, including one — then merges
-//! the captured snapshots in canonical job order, which is what makes the
-//! merged sidecar byte-identical regardless of `--jobs N`. Code that
-//! never installs a session (the CLI main thread, the golden-trace tests)
-//! sees the process-wide singletons exactly as before.
+//! The fleet scheduler (`uniloc-core::fleet`) gives every walker its own
+//! isolated session — at every worker count, including one. Batch callers
+//! (the chaos sweep, the regenerators' walk batches) then fold the
+//! walkers' [`SessionCapture`]s in canonical lane order with
+//! [`SessionCapture::merge`], which is what makes the merged sidecar
+//! byte-identical regardless of `--jobs N`. Code that never installs a
+//! session (the CLI main thread, the golden-trace tests) sees the
+//! process-wide singletons exactly as before.
 //!
 //! Sessions are a thread-local *stack*: nested installs shadow outer ones
 //! and the guard restores the previous state on drop. The guard is
@@ -38,7 +40,7 @@ thread_local! {
 }
 
 /// A `Write` that appends into a shared in-memory buffer, so a session's
-/// flight-recorder dumps can be captured and re-emitted in job order.
+/// flight-recorder dumps can be captured and re-emitted in lane order.
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl Write for SharedBuf {
@@ -51,7 +53,7 @@ impl Write for SharedBuf {
     }
 }
 
-/// One job's private observability state. See the module docs.
+/// One walker's private observability state. See the module docs.
 pub struct ObsSession {
     /// The session's metrics registry (what `global_metrics` resolves to
     /// while the session is installed).
@@ -81,7 +83,7 @@ pub struct ObsSession {
     flight_buf: Arc<Mutex<Vec<u8>>>,
 }
 
-/// Everything a finished job hands back for the deterministic merge.
+/// Everything a finished walker hands back for the deterministic merge.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionCapture {
     /// Final metrics snapshot (sorted by name, as always).
@@ -92,12 +94,31 @@ pub struct SessionCapture {
     pub flight_lines: Vec<String>,
 }
 
+impl SessionCapture {
+    /// Folds `later` (the capture of the *next* session in canonical lane
+    /// order) into this accumulator: counters add, gauges take the later
+    /// value, histograms merge bucket-wise, calibration cells merge
+    /// count-weighted and flight lines concatenate. Gauges and flight
+    /// lines are order-sensitive, so callers fold in lane order, never
+    /// completion order.
+    ///
+    /// # Errors
+    ///
+    /// Histograms or calibration cells whose bucket layouts disagree.
+    pub fn merge(&mut self, later: &SessionCapture) -> Result<(), String> {
+        self.metrics = self.metrics.merge(&later.metrics)?;
+        self.calibration = self.calibration.merge(&later.calibration)?;
+        self.flight_lines.extend(later.flight_lines.iter().cloned());
+        Ok(())
+    }
+}
+
 impl ObsSession {
     /// A fully isolated session: fresh registries, a fresh flight recorder
     /// whose dumps buffer in memory, a [`VirtualClock`] (so span durations
     /// are simulation-time deltas, deterministic across runs and worker
     /// counts), and the flight recorder as the sole subscriber (so its
-    /// ring sees the job's trace window, as the process-wide chain does).
+    /// ring sees the walker's trace window, as the process-wide chain does).
     pub fn isolated() -> Self {
         let flight = Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY));
         let flight_buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
@@ -141,7 +162,7 @@ impl ObsSession {
         }
     }
 
-    /// Snapshots the session's state for the job-ordered merge.
+    /// Snapshots the session's state for the lane-ordered merge.
     pub fn capture(&self) -> SessionCapture {
         SessionCapture {
             metrics: self.metrics.snapshot(),
@@ -258,6 +279,31 @@ mod tests {
         }
         let capture = session.capture();
         assert_eq!(capture, SessionCapture::default(), "capture is empty");
+    }
+
+    #[test]
+    fn captures_merge_in_lane_order() {
+        let capture_of = |lane: u64| {
+            let session = Arc::new(ObsSession::isolated());
+            {
+                let _g = install(Arc::clone(&session));
+                global_metrics().counter("merge.test.walkers").inc();
+                global_metrics().gauge("merge.test.last").set(lane as f64);
+                session.flight.trigger(&format!("lane_{lane}"), vec![]);
+            }
+            session.capture()
+        };
+        let mut merged = SessionCapture::default();
+        for lane in 0..3 {
+            merged.merge(&capture_of(lane)).unwrap();
+        }
+        let walkers = merged.metrics.counters.iter().find(|(n, _)| n == "merge.test.walkers");
+        assert_eq!(walkers, Some(&("merge.test.walkers".to_owned(), 3)));
+        assert_eq!(merged.metrics.gauges, vec![("merge.test.last".to_owned(), 2.0)]);
+        let reasons: Vec<bool> = (0..3)
+            .map(|lane| merged.flight_lines[lane].contains(&format!("\"reason\":\"lane_{lane}\"")))
+            .collect();
+        assert_eq!(reasons, vec![true; 3], "flight lines concatenate in lane order");
     }
 
     #[test]

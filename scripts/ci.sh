@@ -111,15 +111,18 @@ echo "    ok: calibration cells and flight postmortems inspect cleanly"
 # Sweep the small fault-plan set over one scenario, strict: a terminal
 # `lost` ladder state, any non-finite fused estimate, or a quarantine that
 # never lifts after its fault window fails CI. Runs the sweep at both
-# --jobs 1 (the inline sequential path) and --jobs 4 (the worker pool) and
-# requires byte-identical artifacts — the parallel engine's determinism
-# contract. Reuses the models trained for the metrics smoke; stays fully
-# offline.
+# --jobs 1 (every walker stepped inline) and --jobs 4 (the worker pool) and
+# requires byte-identical artifacts — the fleet scheduler's determinism
+# contract. The merged --metrics sidecar rides the same gate once the main
+# thread's own span/event lines (wall-clock timestamps) are filtered out.
+# Reuses the models trained for the metrics smoke; stays fully offline.
 echo "==> chaos smoke (uniloc chaos --strict, --jobs 1 vs --jobs 4)"
 target/release/uniloc chaos --models "$smoke/models.json" --scenarios office \
-    --plans smoke --seed 11 --out "$smoke/chaos" --strict --quiet --jobs 1
+    --plans smoke --seed 11 --out "$smoke/chaos" --strict --quiet --jobs 1 \
+    --metrics "$smoke/chaos1.jsonl"
 target/release/uniloc chaos --models "$smoke/models.json" --scenarios office \
-    --plans smoke --seed 11 --out "$smoke/chaos4" --strict --quiet --jobs 4
+    --plans smoke --seed 11 --out "$smoke/chaos4" --strict --quiet --jobs 4 \
+    --metrics "$smoke/chaos4.jsonl"
 if ! ls "$smoke/chaos"/CHAOS_*.json >/dev/null 2>&1; then
     echo "ERROR: chaos sweep wrote no CHAOS_*.json report" >&2
     exit 1
@@ -129,13 +132,33 @@ if ! diff -r "$smoke/chaos" "$smoke/chaos4" >/dev/null; then
     diff -r "$smoke/chaos" "$smoke/chaos4" >&2 || true
     exit 1
 fi
+for jobs in 1 4; do
+    grep -v '^{"kind":"\(span\|event\)"' "$smoke/chaos$jobs.jsonl" \
+        > "$smoke/chaos$jobs.merged.jsonl" || true
+done
+if [ ! -s "$smoke/chaos1.merged.jsonl" ]; then
+    echo "ERROR: chaos sweep wrote no merged metrics sidecar" >&2
+    exit 1
+fi
+if ! diff "$smoke/chaos1.merged.jsonl" "$smoke/chaos4.merged.jsonl" >/dev/null; then
+    echo "ERROR: chaos metrics sidecar differs between --jobs 1 and --jobs 4" >&2
+    diff "$smoke/chaos1.merged.jsonl" "$smoke/chaos4.merged.jsonl" >&2 || true
+    exit 1
+fi
+target/release/uniloc inspect-metrics --file "$smoke/chaos1.jsonl" > "$smoke/chaos-metrics.txt"
+for name in pipeline.epochs faults.injected. flight.dumps; do
+    if ! grep -qF "$name" "$smoke/chaos-metrics.txt"; then
+        echo "ERROR: chaos metrics sidecar is missing \`$name\`" >&2
+        exit 1
+    fi
+done
 for needle in '"worst_ladder"' '"nonfinite_fused": 0' '"recovered": true'; do
     if ! grep -qF "$needle" "$smoke/chaos"/CHAOS_*.json; then
         echo "ERROR: chaos report is missing \`$needle\`" >&2
         exit 1
     fi
 done
-echo "    ok: fault sweep stayed finite, recovered, and is --jobs invariant"
+echo "    ok: fault sweep stayed finite, recovered, and is --jobs invariant (reports + sidecar)"
 
 # --- 5. fleet smoke -------------------------------------------------------
 # Serve a 200-walker fleet (two venues, every 10th walker under a fault

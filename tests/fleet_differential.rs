@@ -260,9 +260,10 @@ fn fault_and_quarantine_state_never_leaks_between_sessions() {
     );
 }
 
-/// Satellite: checkpoint → restore resumes byte-identically. A session
-/// rebuilt from its [`SessionCheckpoint`] and replayed to the cursor
-/// records exactly the post-checkpoint suffix of the uninterrupted run.
+/// Checkpoint → restore resumes byte-identically. A session rebuilt from
+/// its [`SessionCheckpoint`] replays to the cursor with recording, then
+/// serves the rest: its records equal the uninterrupted run's, the
+/// replayed prefix and the post-checkpoint suffix alike.
 #[test]
 fn checkpoint_restore_resumes_byte_identically() {
     let models = models(5);
@@ -296,7 +297,13 @@ fn checkpoint_restore_resumes_byte_identically() {
         scheduler.run(|f| resumed.push(f));
         assert_eq!(resumed.len(), 1);
         assert_eq!(
-            resumed[0].records,
+            resumed[0].records[..cut],
+            full[..cut],
+            "restored lane {} did not replay up to its checkpoint",
+            spec.lane
+        );
+        assert_eq!(
+            resumed[0].records[cut..],
             full[cut..],
             "restored lane {} did not resume at its checkpoint",
             spec.lane

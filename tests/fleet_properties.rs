@@ -228,7 +228,8 @@ fn quarantined_session_resumes_mid_sentence() {
             if lived.iter().any(|(_, s)| *s != QuarantineStanding::Active) {
                 mid_sentence.set(mid_sentence.get() + 1);
             }
-            // Resume path: rebuild from the checkpoint and replay.
+            // Resume path: rebuild from the checkpoint and replay (with
+            // recording) to the cut.
             let restored =
                 restore_session(&spec.checkpoint(cut), Arc::clone(&models), base.clone(), 0);
             require_eq!(restored.cursor(), cut);

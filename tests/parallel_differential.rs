@@ -1,19 +1,23 @@
-//! Differential tests for the parallel sweep engine: every artifact a
-//! sweep produces — chaos reports, per-epoch records, the merged
+//! Differential tests for batch runs on the fleet scheduler: every
+//! artifact a sweep produces — chaos reports, per-epoch records, the merged
 //! observability sidecar — must be byte-identical at any worker count.
 //!
-//! `--jobs 1` runs the historical inline code path; higher counts fan out
-//! on `std::thread`. The engine's contract (see `DESIGN.md` §8) is that
-//! the fan-out is invisible in every output, so each test runs the same
-//! work at jobs ∈ {1, 2, 4, 8} and diffs the results against the
+//! `--jobs 1` steps every walker inline on the caller's thread; higher
+//! counts fan out on `std::thread`. The contract (see `DESIGN.md` §8) is
+//! that the fan-out is invisible in every output, so each test runs the
+//! same work at jobs ∈ {1, 2, 4, 8} and diffs the results against the
 //! sequential baseline.
 
+use std::sync::Arc;
+
 use uniloc::core::error_model::{train, ErrorModelSet};
-use uniloc::core::parallel::{run_observed, run_ordered};
+use uniloc::core::fleet::FleetSession;
 use uniloc::core::pipeline::{self, PipelineConfig};
+use uniloc::core::session::Session;
 use uniloc::env::venues;
 use uniloc::faults::FaultPlan;
 use uniloc_bench::chaos::{run_sweep, ChaosConfig};
+use uniloc_bench::{merge_captures, run_walk_batch, run_walks_parallel};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -78,52 +82,89 @@ fn chaos_sweep_is_jobs_invariant() {
     }
 }
 
-/// Per-epoch records from parallel walk fan-out equal the plain
-/// sequential `run_walk` loop, scenario by scenario, at every job count.
+/// `uniloc chaos --plans full --seed 7` (in-process models, scenarios
+/// `office,path1`) reproduces the committed `results/CHAOS_*.json`
+/// byte for byte.
+#[test]
+fn chaos_sweep_reproduces_committed_artifacts() {
+    let models = models(7);
+    let sweep = run_sweep(
+        &models,
+        &PipelineConfig::default(),
+        &ChaosConfig {
+            seed: 7,
+            scenario_names: vec!["office".to_owned(), "path1".to_owned()],
+            plans: FaultPlan::library(),
+            jobs: 2,
+        },
+    )
+    .expect("sweep runs");
+    let names: Vec<String> = sweep.reports.iter().map(|r| r.file_name()).collect();
+    assert_eq!(names, ["CHAOS_cli-office.json", "CHAOS_path1.json"]);
+    for report in &sweep.reports {
+        let path = format!("{}/results/{}", env!("CARGO_MANIFEST_DIR"), report.file_name());
+        let committed = std::fs::read_to_string(&path).expect("committed chaos artifact");
+        assert!(
+            report.report.to_string_pretty() == committed,
+            "{path} is not reproduced by the sweep"
+        );
+    }
+}
+
+/// Per-epoch records from a walk batch on the fleet scheduler equal the
+/// plain sequential `run_walk` loop, scenario by scenario, at every job
+/// count.
 #[test]
 fn walk_records_match_sequential_at_all_job_counts() {
     let models = models(3);
     let cfg = PipelineConfig::default();
-    let scenarios = vec![
-        venues::office("diff-office", 3, 50.0, 18.0),
-        venues::training_open_space(4),
+    let walks = vec![
+        (venues::office("diff-office", 3, 50.0, 18.0), cfg.clone(), 103),
+        (venues::training_open_space(4), cfg.clone(), 103),
     ];
-    let sequential: Vec<Vec<pipeline::EpochRecord>> = scenarios
+    let sequential: Vec<Vec<pipeline::EpochRecord>> = walks
         .iter()
-        .map(|s| pipeline::run_walk(s, &models, &cfg, 103))
+        .map(|(s, cfg, seed)| pipeline::run_walk(s, &models, cfg, *seed))
         .collect();
     for jobs in JOB_COUNTS {
-        let (parallel, _) = run_observed(&scenarios, jobs, |_, s| {
-            pipeline::run_walk(s, &models, &cfg, 103)
-        });
+        let parallel = run_walks_parallel(&walks, &models, jobs);
         assert_eq!(parallel, sequential, "records differ at jobs={jobs}");
     }
 }
 
-/// The merged observability sidecar is itself invariant in the worker
-/// count: same counters, same histograms, same calibration cells.
+/// The merged observability sidecar of a walk batch is itself invariant
+/// in the worker count: same counters, same histograms, same calibration
+/// cells, same flight lines.
 #[test]
 fn merged_obs_is_jobs_invariant_for_walks() {
-    let models = models(3);
+    let models = Arc::new(models(3));
     let cfg = PipelineConfig::default();
-    let scenarios = vec![
+    let scenarios = [
         venues::office("diff-obs-a", 3, 40.0, 15.0),
         venues::office("diff-obs-b", 4, 40.0, 15.0),
         venues::training_open_space(5),
     ];
-    let (_, baseline) = run_observed(&scenarios, 1, |i, s| {
-        pipeline::run_walk(s, &models, &cfg, 200 + i as u64)
-    });
+    let merged_at = |jobs: usize| {
+        let builders: Vec<_> = scenarios
+            .iter()
+            .map(|scenario| {
+                let (scenario, models, cfg) =
+                    (Arc::new(scenario.clone()), Arc::clone(&models), cfg.clone());
+                move |lane: u64| {
+                    FleetSession::build(lane, scenario.name.clone(), move || {
+                        let seed = 200 + lane;
+                        let frames = pipeline::walk_frames(&scenario, &cfg, seed);
+                        (Session::new(scenario, &models, &cfg, seed), frames)
+                    })
+                }
+            })
+            .collect();
+        merge_captures(&run_walk_batch(jobs, builders).expect("walks run")).expect("merge")
+    };
+    let baseline = merged_at(1);
+    assert!(!baseline.metrics.counters.is_empty() && !baseline.flight_lines.is_empty());
     for jobs in &JOB_COUNTS[1..] {
-        let (_, obs) = run_observed(&scenarios, *jobs, |i, s| {
-            pipeline::run_walk(s, &models, &cfg, 200 + i as u64)
-        });
-        assert_eq!(obs.metrics, baseline.metrics, "metrics differ at jobs={jobs}");
-        assert_eq!(
-            obs.calibration, baseline.calibration,
-            "calibration differs at jobs={jobs}"
-        );
-        assert_eq!(obs.flight_lines, baseline.flight_lines, "flight differs at jobs={jobs}");
+        assert_eq!(merged_at(*jobs), baseline, "merged capture differs at jobs={jobs}");
     }
 }
 
@@ -140,14 +181,15 @@ fn parallel_speedup_on_multicore() {
     }
     let models = models(3);
     let cfg = PipelineConfig::default();
-    let scenarios: Vec<_> = (0..8u64)
-        .map(|i| venues::office(&format!("speedup-{i}"), 10 + i, 50.0, 18.0))
+    let walks: Vec<_> = (0..8u64)
+        .map(|i| {
+            let office = venues::office(&format!("speedup-{i}"), 10 + i, 50.0, 18.0);
+            (office, cfg.clone(), 300 + i)
+        })
         .collect();
     let timed = |jobs: usize| {
         let start = std::time::Instant::now();
-        let _ = run_ordered(&scenarios, jobs, |i, s| {
-            pipeline::run_walk(s, &models, &cfg, 300 + i as u64)
-        });
+        let _ = run_walks_parallel(&walks, &models, jobs);
         start.elapsed()
     };
     timed(1); // warm-up: touch every code path once

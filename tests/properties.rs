@@ -467,15 +467,15 @@ fn scrub_frame_is_idempotent() {
     );
 }
 
-/// The parallel work queue is a lossless, duplication-free,
+/// The supervised worker pool is a lossless, duplication-free,
 /// order-preserving map: for any item list and any worker count,
-/// `run_ordered` returns exactly `f(i, item_i)` at position `i` and calls
-/// `f` exactly once per item.
+/// `run_supervised_mut` hands every item back in place, calls `f` exactly
+/// once per item, and returns `f(i, item_i)` at position `i`.
 #[test]
-fn run_ordered_is_a_lossless_ordered_map() {
+fn run_supervised_mut_is_a_lossless_ordered_map() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use uniloc::core::parallel::run_ordered;
-    checker("run_ordered_is_a_lossless_ordered_map").cases(48).run(
+    use uniloc::core::parallel::run_supervised_mut;
+    checker("run_supervised_mut_is_a_lossless_ordered_map").cases(48).run(
         |rng, scale| {
             let n = rng.gen_range(0..1 + (200.0 * scale) as usize);
             let jobs = rng.gen_range(1..17usize);
@@ -484,15 +484,19 @@ fn run_ordered_is_a_lossless_ordered_map() {
         },
         |(items, jobs)| {
             let calls = AtomicU64::new(0);
-            let got = run_ordered(items, *jobs, |i, x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                (i, x.wrapping_mul(3).wrapping_add(1))
-            });
+            let (back, got) =
+                run_supervised_mut(items.clone(), *jobs, "property", |_| None, |i, x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    *x = x.wrapping_add(1);
+                    (i, x.wrapping_mul(3))
+                });
             require_eq!(calls.load(Ordering::Relaxed), items.len() as u64);
+            require_eq!(back.len(), items.len());
             require_eq!(got.len(), items.len());
-            for (slot, (i, v)) in got.iter().enumerate() {
-                require!(slot == *i, "result out of order");
-                require_eq!(*v, items[slot].wrapping_mul(3).wrapping_add(1));
+            for (slot, (item, result)) in back.iter().zip(&got).enumerate() {
+                let bumped = items[slot].wrapping_add(1);
+                require_eq!(*item, bumped);
+                require_eq!(*result, Ok((slot, bumped.wrapping_mul(3))));
             }
             Ok(())
         },
