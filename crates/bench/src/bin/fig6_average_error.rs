@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig6_average_error`
 
+use std::sync::Arc;
+
 use uniloc_bench::{fmt_opt, mean_defined, print_table, system_errors, trained_models, SYSTEM_LABELS};
 use uniloc_core::pipeline::PipelineConfig;
 use uniloc_env::campus;
@@ -14,16 +16,16 @@ use uniloc_env::campus;
 fn main() {
     uniloc_bench::init_obs();
     let cfg = PipelineConfig::default();
-    let models = trained_models(1);
-    let scenario = campus::daily_path(3);
+    let models = Arc::new(trained_models(1));
+    let scenario = Arc::new(campus::daily_path(3));
 
     // Average over several walks (different walkers/noise) for stability;
     // the walks fan out on UNILOC_JOBS workers in seed order.
     let walks: Vec<_> =
-        (0..5u64).map(|run| (scenario.clone(), cfg.clone(), 12 + run * 31)).collect();
+        (0..5u64).map(|run| (Arc::clone(&scenario), cfg.clone(), 12 + run * 31)).collect();
     let mut all_means: Vec<Vec<f64>> = vec![Vec::new(); SYSTEM_LABELS.len()];
     let jobs = uniloc_bench::jobs_from_env();
-    for records in uniloc_bench::run_walks_parallel(&walks, &models, jobs) {
+    for records in uniloc_bench::run_walks_parallel(walks, &models, jobs) {
         for (i, label) in SYSTEM_LABELS.iter().enumerate() {
             if let Some(m) = mean_defined(&system_errors(&records, label)) {
                 all_means[i].push(m);

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig7_cdf_eight_paths`
 
+use std::sync::Arc;
+
 use uniloc_bench::{
     cdf_summary, pooled_errors, print_cdf_series, print_table, trained_models, SYSTEM_LABELS,
 };
@@ -17,21 +19,21 @@ use uniloc_env::{campus, GaitProfile};
 
 fn main() {
     uniloc_bench::init_obs();
-    let models = trained_models(1);
+    let models = Arc::new(trained_models(1));
 
     println!("Fig. 7 — error CDF over the eight daily paths (3 walkers each)");
     let personas = GaitProfile::personas();
     let mut walks = Vec::new();
-    let paths = campus::all_paths(3);
+    let paths: Vec<Arc<_>> = campus::all_paths(3).into_iter().map(Arc::new).collect();
     for (i, scenario) in paths.iter().enumerate() {
         for (j, gait) in personas.iter().step_by(2).enumerate() {
             let cfg = PipelineConfig { gait: gait.clone(), ..PipelineConfig::default() };
-            walks.push((scenario.clone(), cfg, 300 + i as u64 * 17 + j as u64 * 7));
+            walks.push((Arc::clone(scenario), cfg, 300 + i as u64 * 17 + j as u64 * 7));
         }
     }
     // The walks fan out on UNILOC_JOBS workers; records come back in the
     // same (path, persona) order the sequential loop produced.
-    let runs = uniloc_bench::run_walks_parallel(&walks, &models, uniloc_bench::jobs_from_env());
+    let runs = uniloc_bench::run_walks_parallel(walks, &models, uniloc_bench::jobs_from_env());
     for scenario in &paths {
         println!("  walked {} ({:.0} m) with 3 personas", scenario.name, scenario.route.length());
     }

@@ -11,13 +11,15 @@
 //!
 //! The whole matrix is one fleet run ([`crate::run_walk_batch`]): lanes
 //! `0..S` are the scenarios' clean baselines and lane `S + s·P + p` is
-//! cell `(s, p)`, so lane order is the report order. Every walker steps
-//! under its own isolated observability session, and reports, violation
-//! list, merged sidecar and progress lines are all assembled on the
-//! caller's thread in lane order, so the sweep's results are
+//! cell `(s, p)`, so lane order is the report order. A cell's faulted
+//! stream is injected when its walker is built, and every walker builds
+//! and steps under its own isolated observability session. Reports,
+//! violation list, merged sidecar and progress lines are all assembled on
+//! the caller's thread in lane order, so the sweep's results are
 //! byte-identical at any `jobs` count (`tests/parallel_differential.rs`
 //! holds this at jobs ∈ {1, 2, 4, 8}).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use uniloc_core::error_model::ErrorModelSet;
@@ -26,7 +28,7 @@ use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
 use uniloc_env::{campus, venues, Scenario};
 use uniloc_faults::{FaultInjector, FaultPlan};
-use uniloc_obs::session::{self as obs_session, ObsSession, SessionCapture};
+use uniloc_obs::session::SessionCapture;
 use uniloc_sensors::SensorFrame;
 use uniloc_stats::json::Json;
 
@@ -203,8 +205,8 @@ impl Baseline {
 ///
 /// # Errors
 ///
-/// Returns the first unknown scenario name, in request order, and any
-/// walker that panicked until the fleet's supervision poisoned it.
+/// Returns the first unknown scenario name, in request order, and the
+/// first walker that panicked ([`crate::run_walk_batch`]).
 pub fn run_sweep(
     models: &ErrorModelSet,
     cfg: &PipelineConfig,
@@ -218,7 +220,7 @@ pub fn run_sweep(
     let mut scenarios = Vec::with_capacity(sweep.scenario_names.len());
     for name in &sweep.scenario_names {
         let scenario = Arc::new(scenario_by_name(name, seed)?);
-        let frames = pipeline::walk_frames(&scenario, cfg, walk_seed);
+        let frames = Arc::new(pipeline::walk_frames(&scenario, cfg, walk_seed));
         uniloc_obs::info!(
             "chaos: {} — {} epochs, {} plan(s)",
             scenario.name,
@@ -228,59 +230,80 @@ pub fn run_sweep(
         scenarios.push((scenario, frames));
     }
 
+    // A walker on `scenario`: the clean walk, or with `cell` the walk
+    // under the cell's fault plan. The faulted stream is injected when the
+    // walker is built, under its own observability session, so the
+    // `faults.injected.*` counters land in the cell's capture; the number
+    // of faults applied goes to the cell's slot.
     let models = Arc::new(models.clone());
-    let builder = |name: String, obs: Arc<ObsSession>, scenario: &Arc<Scenario>, frames| {
-        let (scenario, models, cfg) = (Arc::clone(scenario), Arc::clone(&models), cfg.clone());
+    let builder = |scenario: &Arc<Scenario>,
+                   clean: &Arc<Vec<SensorFrame>>,
+                   cell: Option<(FaultPlan, Arc<AtomicUsize>)>| {
+        let name = match &cell {
+            Some((plan, _)) => format!("{}/{}", scenario.name, plan.name),
+            None => scenario.name.clone(),
+        };
+        let (scenario, clean) = (Arc::clone(scenario), Arc::clone(clean));
+        let (models, cfg) = (Arc::clone(&models), cfg.clone());
         move |lane| {
-            FleetSession::build_with_obs(lane, name, obs, move || {
+            FleetSession::build(lane, name, move || {
+                let frames = match cell {
+                    Some((plan, injected)) => {
+                        let (faulted, events) = inject_plan(plan, seed, &scenario, &clean);
+                        injected.store(events, Ordering::Relaxed);
+                        faulted
+                    }
+                    None => clean.to_vec(),
+                };
                 (Session::new(scenario, &models, &cfg, walk_seed), frames)
             })
         }
     };
-    // Lanes 0..S: the clean baselines.
-    let mut builders: Vec<_> = scenarios
-        .iter()
-        .map(|(scenario, frames)| {
-            let obs = Arc::new(ObsSession::isolated());
-            builder(scenario.name.clone(), obs, scenario, frames.clone())
-        })
-        .collect();
-    // Lane S + s·P + p: cell (s, p). Injection runs under the walker's own
-    // session, so its `faults.injected.*` counters land in the cell's
-    // capture.
+    // Lanes 0..S: the clean baselines; lane S + s·P + p: cell (s, p).
+    let mut builders: Vec<_> =
+        scenarios.iter().map(|(scenario, clean)| builder(scenario, clean, None)).collect();
     let mut injected_events = Vec::with_capacity(scenarios.len() * sweep.plans.len());
-    for (scenario, frames) in &scenarios {
+    for (scenario, clean) in &scenarios {
         for plan in &sweep.plans {
-            let obs = Arc::new(ObsSession::isolated());
-            let guard = obs_session::install(Arc::clone(&obs));
-            let (faulted, events) = inject_plan(plan.clone(), seed, scenario, frames);
-            drop(guard);
-            injected_events.push(events);
-            let name = format!("{}/{}", scenario.name, plan.name);
-            builders.push(builder(name, obs, scenario, faulted));
+            let injected = Arc::new(AtomicUsize::new(0));
+            builders.push(builder(scenario, clean, Some((plan.clone(), Arc::clone(&injected)))));
+            injected_events.push(injected);
         }
     }
-    let walkers = crate::run_walk_batch(sweep.jobs, builders)?;
-    let (clean_runs, cell_runs) = walkers.split_at(scenarios.len());
+    // Walkers arrive in lane order, so every baseline is in before the
+    // first cell is scored.
+    let (scenario_count, plan_count) = (scenarios.len(), sweep.plans.len());
+    let mut baselines = Vec::with_capacity(scenario_count);
+    let mut outcomes = Vec::with_capacity(injected_events.len());
+    let mut clean_obs = Ok(SessionCapture::default());
+    let mut cell_obs = Ok(SessionCapture::default());
+    crate::run_walk_batch(sweep.jobs, builders, |walker| {
+        match (walker.lane as usize).checked_sub(scenario_count) {
+            None => {
+                crate::fold_capture(&mut clean_obs, &walker.capture);
+                baselines.push(Baseline::of(&walker.records));
+            }
+            Some(cell) => {
+                crate::fold_capture(&mut cell_obs, &walker.capture);
+                let injected = injected_events[cell].load(Ordering::Relaxed);
+                let (plan, base) = (&sweep.plans[cell % plan_count], &baselines[cell / plan_count]);
+                outcomes.push(score_cell(plan, &walker.records, injected, base));
+            }
+        }
+    })
+    .map_err(|e| e.to_string())?;
     // The baselines' captures fold first, then the cells', then the two
     // merge: histogram sums are floats, so the grouping is part of the
     // sidecar's bytes.
-    let mut obs = crate::merge_captures(clean_runs)?;
-    obs.merge(&crate::merge_captures(cell_runs)?)
-        .map_err(|e| format!("observability merge failed: {e}"))?;
+    let mut obs = clean_obs?;
+    obs.merge(&cell_obs?).map_err(|e| format!("observability merge failed: {e}"))?;
 
     // Assemble reports and the violation list in lane order.
-    let mut cells = cell_runs.iter().zip(injected_events);
-    let mut reports = Vec::with_capacity(scenarios.len());
+    let mut outcomes = outcomes.into_iter();
+    let mut reports = Vec::with_capacity(scenario_count);
     let mut violations = Vec::new();
-    for ((scenario, _), clean) in scenarios.iter().zip(clean_runs) {
-        let base = Baseline::of(&clean.records);
-        let scenario_outcomes: Vec<ChaosOutcome> = sweep
-            .plans
-            .iter()
-            .zip(cells.by_ref())
-            .map(|(plan, (cell, events))| score_cell(plan, &cell.records, events, &base))
-            .collect();
+    for ((scenario, _), base) in scenarios.iter().zip(baselines) {
+        let scenario_outcomes: Vec<ChaosOutcome> = outcomes.by_ref().take(plan_count).collect();
         for outcome in &scenario_outcomes {
             uniloc_obs::info!(
                 "  {:<16} events={:<4} shift mean {:+.1} m p90 {:+.1} m worst={} recover={}",

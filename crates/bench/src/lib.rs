@@ -11,10 +11,13 @@ pub mod fleet;
 pub mod microbench;
 pub mod regression;
 
+use std::fmt;
 use std::sync::Arc;
 
 use uniloc_core::error_model::{train, ErrorModelSet};
-use uniloc_core::fleet::{FinishedSession, FleetScheduler, FleetSession};
+use uniloc_core::fleet::{
+    FinishedSession, FleetEvent, FleetScheduler, FleetSession, RunControl, SupervisionPolicy,
+};
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
 use uniloc_env::{venues, Scenario};
@@ -105,45 +108,70 @@ pub fn jobs_from_env() -> usize {
 /// per-round pool start-ups, to a minimum.
 const WHOLE_WALK_TICK_S: f64 = 1e6;
 
+/// A batch walker that panicked: the walker retired at its first panic,
+/// with the records and capture of the epochs it served before it.
+pub struct WalkPanicked(pub Box<FinishedSession>);
+
+impl fmt::Display for WalkPanicked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let walker = &self.0;
+        match &walker.poisoned {
+            Some(failure) => write!(f, "walk {} failed: {failure}", walker.name),
+            None => write!(f, "walk {} failed", walker.name),
+        }
+    }
+}
+
 /// Runs a batch of independent walks as one [`FleetScheduler`] run: one
 /// lane per builder, numbered by position, on up to `jobs` workers. Each
 /// builder receives its lane and returns the walker's [`FleetSession`].
-/// Returns the finished walkers in lane order, whatever `jobs` is.
+/// Every finished walker goes to `on_walker` in lane order, whatever
+/// `jobs` is, and is dropped after it, so a batch holds only the walkers
+/// still running.
 ///
 /// # Errors
 ///
-/// A walker that panicked until the supervision policy poisoned it.
-pub fn run_walk_batch<B>(jobs: usize, builders: Vec<B>) -> Result<Vec<FinishedSession>, String>
+/// The first walker, in lane order, that panicked; `on_walker` sees no
+/// walker from that lane on. A walker is never retried: a retry would
+/// resume the walk from the state the panic left half-mutated, so the
+/// first panic fails the batch.
+pub fn run_walk_batch<B>(
+    jobs: usize,
+    builders: Vec<B>,
+    mut on_walker: impl FnMut(FinishedSession),
+) -> Result<(), WalkPanicked>
 where
     B: FnOnce(u64) -> FleetSession + Send + 'static,
 {
-    let lanes = builders.len();
     // At most `jobs` walkers live at once, which bounds memory by the
     // worker count rather than by the batch size.
     let mut scheduler = FleetScheduler::new(jobs, WHOLE_WALK_TICK_S, jobs);
     for (lane, build) in (0u64..).zip(builders) {
         scheduler.admit(lane, move || build(lane));
     }
-    let mut finished = Vec::with_capacity(lanes);
-    scheduler.run(|f| finished.push(f));
-    match finished.iter().find_map(|f| Some((&f.name, f.poisoned.as_ref()?))) {
-        Some((name, failure)) => Err(format!("walk {name} failed: {failure}")),
-        None => Ok(finished),
-    }
+    let policy = SupervisionPolicy { max_strikes: 1, ..SupervisionPolicy::default() };
+    let mut failed = None;
+    scheduler.run_supervised(&policy, &RunControl::default(), |event| {
+        let FleetEvent::Finished(walker) = event else { return };
+        if failed.is_none() {
+            if walker.poisoned.is_some() {
+                failed = Some(walker);
+            } else {
+                on_walker(*walker);
+            }
+        }
+    });
+    failed.map_or(Ok(()), |walker| Err(WalkPanicked(walker)))
 }
 
-/// Folds the walkers' observability captures in the order given
-/// ([`SessionCapture::merge`]).
-///
-/// # Errors
-///
-/// Captures whose histogram or calibration layouts disagree.
-pub fn merge_captures(walkers: &[FinishedSession]) -> Result<SessionCapture, String> {
-    let mut merged = SessionCapture::default();
-    for walker in walkers {
-        merged.merge(&walker.capture).map_err(|e| format!("observability merge failed: {e}"))?;
+/// Folds `capture`, the next walker's in lane order, into `merged`
+/// ([`SessionCapture::merge`]); the first merge error sticks.
+pub fn fold_capture(merged: &mut Result<SessionCapture, String>, capture: &SessionCapture) {
+    if let Ok(acc) = merged {
+        if let Err(e) = acc.merge(capture) {
+            *merged = Err(format!("observability merge failed: {e}"));
+        }
     }
-    Ok(merged)
 }
 
 /// Runs one walk per `(scenario, cfg, seed)` triple — the records
@@ -156,16 +184,14 @@ pub fn merge_captures(walkers: &[FinishedSession]) -> Result<SessionCapture, Str
 ///
 /// Panics when a walk panics (see [`run_walk_batch`]).
 pub fn run_walks_parallel(
-    walks: &[(Scenario, PipelineConfig, u64)],
-    models: &ErrorModelSet,
+    walks: Vec<(Arc<Scenario>, PipelineConfig, u64)>,
+    models: &Arc<ErrorModelSet>,
     jobs: usize,
 ) -> Vec<Vec<EpochRecord>> {
-    let models = Arc::new(models.clone());
     let builders: Vec<_> = walks
-        .iter()
+        .into_iter()
         .map(|(scenario, cfg, seed)| {
-            let (scenario, cfg, seed) = (Arc::new(scenario.clone()), cfg.clone(), *seed);
-            let models = Arc::clone(&models);
+            let models = Arc::clone(models);
             move |lane| {
                 FleetSession::build(lane, scenario.name.clone(), move || {
                     let frames = pipeline::walk_frames(&scenario, &cfg, seed);
@@ -174,13 +200,18 @@ pub fn run_walks_parallel(
             }
         })
         .collect();
-    let finished = run_walk_batch(jobs, builders)
-        .and_then(|finished| Ok((merge_captures(&finished)?, finished)));
-    let (capture, finished) = finished.unwrap_or_else(|e| panic!("{e}"));
+    let mut records = Vec::new();
+    let mut merged = Ok(SessionCapture::default());
+    run_walk_batch(jobs, builders, |walker| {
+        fold_capture(&mut merged, &walker.capture);
+        records.push(walker.records);
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    let capture = merged.unwrap_or_else(|e| panic!("{e}"));
     if let Err(e) = uniloc_obs::process_metrics().absorb(&capture.metrics) {
         uniloc_obs::warn!("bench metrics re-absorb failed: {e}");
     }
-    finished.into_iter().map(|f| f.records).collect()
+    records
 }
 
 /// The labels used across printed tables, in the paper's order.

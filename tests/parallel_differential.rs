@@ -14,10 +14,11 @@ use uniloc::core::error_model::{train, ErrorModelSet};
 use uniloc::core::fleet::FleetSession;
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::core::session::Session;
-use uniloc::env::venues;
+use uniloc::env::{venues, Scenario};
 use uniloc::faults::FaultPlan;
 use uniloc_bench::chaos::{run_sweep, ChaosConfig};
-use uniloc_bench::{merge_captures, run_walk_batch, run_walks_parallel};
+use uniloc::obs::session::SessionCapture;
+use uniloc_bench::{fold_capture, run_walk_batch, run_walks_parallel};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -116,19 +117,71 @@ fn chaos_sweep_reproduces_committed_artifacts() {
 /// count.
 #[test]
 fn walk_records_match_sequential_at_all_job_counts() {
-    let models = models(3);
+    let models = Arc::new(models(3));
     let cfg = PipelineConfig::default();
     let walks = vec![
-        (venues::office("diff-office", 3, 50.0, 18.0), cfg.clone(), 103),
-        (venues::training_open_space(4), cfg.clone(), 103),
+        (Arc::new(venues::office("diff-office", 3, 50.0, 18.0)), cfg.clone(), 103),
+        (Arc::new(venues::training_open_space(4)), cfg.clone(), 103),
     ];
     let sequential: Vec<Vec<pipeline::EpochRecord>> = walks
         .iter()
         .map(|(s, cfg, seed)| pipeline::run_walk(s, &models, cfg, *seed))
         .collect();
     for jobs in JOB_COUNTS {
-        let parallel = run_walks_parallel(&walks, &models, jobs);
+        let parallel = run_walks_parallel(walks.clone(), &models, jobs);
         assert_eq!(parallel, sequential, "records differ at jobs={jobs}");
+    }
+}
+
+/// A batch walker on `scenario`, walking with seed `200 + lane`.
+fn walker(
+    scenario: &Arc<Scenario>,
+    models: &Arc<ErrorModelSet>,
+) -> impl FnOnce(u64) -> FleetSession + Send + 'static {
+    let (scenario, models) = (Arc::clone(scenario), Arc::clone(models));
+    let cfg = PipelineConfig::default();
+    move |lane| {
+        FleetSession::build(lane, format!("{}#{lane}", scenario.name), move || {
+            let frames = pipeline::walk_frames(&scenario, &cfg, 200 + lane);
+            (Session::new(scenario, &models, &cfg, 200 + lane), frames)
+        })
+    }
+}
+
+/// A walker that panics fails its batch at the first panic: it is not
+/// retried from the state the panic left behind, and the failure names
+/// it. No walker from its lane on is handed out.
+#[test]
+fn walk_batch_fails_on_the_first_panic_without_retry() {
+    let models = Arc::new(models(3));
+    let scenario = Arc::new(venues::office("diff-panic", 3, 40.0, 15.0));
+    for jobs in [1, 2] {
+        let builders: Vec<_> = (0..3u64)
+            .map(|_| {
+                let build = walker(&scenario, &models);
+                move |lane: u64| {
+                    let mut walker = build(lane);
+                    walker.set_panic_at_epoch((lane == 1).then_some(3));
+                    walker
+                }
+            })
+            .collect();
+        let mut finished = Vec::new();
+        let failed = match run_walk_batch(jobs, builders, |walker| finished.push(walker.lane)) {
+            Ok(()) => panic!("a panicking walker must fail the batch at jobs={jobs}"),
+            Err(e) => e,
+        };
+        assert_eq!(finished, [0], "walkers from the failed lane on are not handed out");
+        let message = failed.to_string();
+        let named = message.contains("diff-panic#1") && message.contains("injected panic");
+        assert!(named, "{message}");
+        let walker = &failed.0;
+        assert_eq!(walker.records.len(), 3, "the walker stops at the panicking epoch");
+        let counter = |name: &str| {
+            walker.capture.metrics.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        };
+        assert_eq!(counter("fleet.poisoned"), Some(1));
+        assert_eq!(counter("parallel.retries").unwrap_or(0), 0, "the walker was retried");
     }
 }
 
@@ -138,28 +191,18 @@ fn walk_records_match_sequential_at_all_job_counts() {
 #[test]
 fn merged_obs_is_jobs_invariant_for_walks() {
     let models = Arc::new(models(3));
-    let cfg = PipelineConfig::default();
     let scenarios = [
         venues::office("diff-obs-a", 3, 40.0, 15.0),
         venues::office("diff-obs-b", 4, 40.0, 15.0),
         venues::training_open_space(5),
-    ];
+    ]
+    .map(Arc::new);
     let merged_at = |jobs: usize| {
-        let builders: Vec<_> = scenarios
-            .iter()
-            .map(|scenario| {
-                let (scenario, models, cfg) =
-                    (Arc::new(scenario.clone()), Arc::clone(&models), cfg.clone());
-                move |lane: u64| {
-                    FleetSession::build(lane, scenario.name.clone(), move || {
-                        let seed = 200 + lane;
-                        let frames = pipeline::walk_frames(&scenario, &cfg, seed);
-                        (Session::new(scenario, &models, &cfg, seed), frames)
-                    })
-                }
-            })
-            .collect();
-        merge_captures(&run_walk_batch(jobs, builders).expect("walks run")).expect("merge")
+        let builders: Vec<_> = scenarios.iter().map(|s| walker(s, &models)).collect();
+        let mut merged = Ok(SessionCapture::default());
+        run_walk_batch(jobs, builders, |walker| fold_capture(&mut merged, &walker.capture))
+            .unwrap_or_else(|e| panic!("{e}"));
+        merged.expect("merge")
     };
     let baseline = merged_at(1);
     assert!(!baseline.metrics.counters.is_empty() && !baseline.flight_lines.is_empty());
@@ -179,17 +222,17 @@ fn parallel_speedup_on_multicore() {
         eprintln!("skipping speedup measurement: only {cores} core(s) available");
         return;
     }
-    let models = models(3);
+    let models = Arc::new(models(3));
     let cfg = PipelineConfig::default();
     let walks: Vec<_> = (0..8u64)
         .map(|i| {
             let office = venues::office(&format!("speedup-{i}"), 10 + i, 50.0, 18.0);
-            (office, cfg.clone(), 300 + i)
+            (Arc::new(office), cfg.clone(), 300 + i)
         })
         .collect();
     let timed = |jobs: usize| {
         let start = std::time::Instant::now();
-        let _ = run_walks_parallel(&walks, &models, jobs);
+        let _ = run_walks_parallel(walks.clone(), &models, jobs);
         start.elapsed()
     };
     timed(1); // warm-up: touch every code path once
