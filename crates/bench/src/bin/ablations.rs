@@ -23,12 +23,14 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin ablations`
 
-use uniloc_bench::{mean_defined, system_errors, trained_models};
+use std::sync::Arc;
+
+use uniloc_bench::{jobs_from_env, mean_defined, run_walks_parallel, system_errors, trained_models};
 use uniloc_core::aloc::ALocSelector;
 use uniloc_core::confidence::confidence;
 use uniloc_core::energy::PowerProfile;
 use uniloc_core::error_model::{ErrorModelSet, ErrorPrediction};
-use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
+use uniloc_core::pipeline::{EpochRecord, PipelineConfig};
 use uniloc_env::{campus, venues};
 use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
@@ -75,10 +77,22 @@ fn prediction_of(r: &EpochRecord, id: SchemeId) -> Option<ErrorPrediction> {
 
 fn main() {
     uniloc_bench::init_obs();
-    let cfg = PipelineConfig::default();
-    let models = trained_models(1);
-    let scenario = campus::daily_path(3);
-    let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
+    let models = Arc::new(trained_models(1));
+    let scenario = Arc::new(campus::daily_path(3));
+    // The base walk and ablation 7's three predictor walks, as one batch.
+    let predictors = [
+        ("second-order HMM (paper)", uniloc_core::PredictorKind::Hmm2),
+        ("Kalman filter", uniloc_core::PredictorKind::Kalman),
+        ("last estimate", uniloc_core::PredictorKind::LastEstimate),
+    ];
+    let mut walks = vec![(Arc::clone(&scenario), PipelineConfig::default(), 12)];
+    for (_, kind) in predictors {
+        let cfg = PipelineConfig { predictor: kind, ..PipelineConfig::default() };
+        walks.push((Arc::clone(&scenario), cfg, 12));
+    }
+    let mut runs = run_walks_parallel(walks, &models, jobs_from_env());
+    let predictor_runs = runs.split_off(1);
+    let records = runs.pop().expect("base walk");
 
     // ---- 1. weighting strategies -------------------------------------
     println!("== ablation 1: BMA weighting strategy (daily path) ==");
@@ -134,7 +148,8 @@ fn main() {
                 }
             }
         }
-        let recs = pipeline::run_walk(&scenario, &noisy, &cfg, 12);
+        let walk = (Arc::clone(&scenario), PipelineConfig::default(), 12);
+        let recs = run_walks_parallel(vec![walk], &Arc::new(noisy), 1).remove(0);
         let u1 = mean_defined(&system_errors(&recs, "uniloc1")).unwrap_or(f64::NAN);
         let u2 = mean_defined(&system_errors(&recs, "uniloc2")).unwrap_or(f64::NAN);
         println!(
@@ -244,14 +259,8 @@ fn main() {
 
     // ---- 7. online location predictor for the density feature ----------
     println!("\n== ablation 7: location predictor for the beta_1 feature ==");
-    for (label, kind) in [
-        ("second-order HMM (paper)", uniloc_core::PredictorKind::Hmm2),
-        ("Kalman filter", uniloc_core::PredictorKind::Kalman),
-        ("last estimate", uniloc_core::PredictorKind::LastEstimate),
-    ] {
-        let cfg = PipelineConfig { predictor: kind, ..PipelineConfig::default() };
-        let recs = pipeline::run_walk(&scenario, &models, &cfg, 12);
-        let u2 = mean_defined(&system_errors(&recs, "uniloc2")).unwrap_or(f64::NAN);
+    for ((label, _), recs) in predictors.iter().zip(&predictor_runs) {
+        let u2 = mean_defined(&system_errors(recs, "uniloc2")).unwrap_or(f64::NAN);
         println!("  {label:<26}: uniloc2 {u2:5.2} m");
     }
     println!("  paper: 'a second order HMM ... can provide an acceptable estimation");

@@ -11,22 +11,24 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig2_motivation`
 
+use std::sync::Arc;
+
 use uniloc_bench::{
-    fmt_opt, mean_defined, print_table, station_series, system_errors, trained_models,
-    SYSTEM_LABELS,
+    fmt_opt, mean_defined, print_table, run_walks_parallel, station_series, system_errors,
+    trained_models, SYSTEM_LABELS,
 };
-use uniloc_core::pipeline::{self, PipelineConfig};
+use uniloc_core::pipeline::PipelineConfig;
 use uniloc_env::campus;
 use uniloc_schemes::SchemeId;
 
 fn main() {
     uniloc_bench::init_obs();
-    let cfg = PipelineConfig::default();
     // Models are needed only for UniLoc's own columns; the five schemes and
     // the oracle are model-free.
-    let models = trained_models(1);
-    let scenario = campus::daily_path(3);
-    let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
+    let models = Arc::new(trained_models(1));
+    let scenario = Arc::new(campus::daily_path(3));
+    let walk = (Arc::clone(&scenario), PipelineConfig::default(), 12);
+    let records = run_walks_parallel(vec![walk], &models, 1).remove(0);
 
     println!("Fig. 2 — error along the daily path ({} m)", scenario.route.length());
     println!("segments: office 0-50, semi-open corridor 50-130, basement 130-190,");

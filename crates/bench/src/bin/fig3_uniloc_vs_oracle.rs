@@ -6,16 +6,18 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig3_uniloc_vs_oracle`
 
-use uniloc_bench::{station_series, system_errors, trained_models};
-use uniloc_core::pipeline::{self, PipelineConfig};
+use std::sync::Arc;
+
+use uniloc_bench::{run_walks_parallel, station_series, system_errors, trained_models};
+use uniloc_core::pipeline::PipelineConfig;
 use uniloc_env::campus;
 
 fn main() {
     uniloc_bench::init_obs();
-    let cfg = PipelineConfig::default();
-    let models = trained_models(1);
-    let scenario = campus::daily_path(3);
-    let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
+    let models = Arc::new(trained_models(1));
+    let scenario = Arc::new(campus::daily_path(3));
+    let walk = (Arc::clone(&scenario), PipelineConfig::default(), 12);
+    let records = run_walks_parallel(vec![walk], &models, 1).remove(0);
 
     println!("Fig. 3 — oracle vs UniLoc along the daily path (10 m buckets)");
     for label in ["oracle", "uniloc1", "uniloc2"] {

@@ -10,17 +10,19 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig5_usage`
 
-use uniloc_bench::{print_table, trained_models};
-use uniloc_core::pipeline::{self, PipelineConfig};
+use std::sync::Arc;
+
+use uniloc_bench::{print_table, run_walks_parallel, trained_models};
+use uniloc_core::pipeline::PipelineConfig;
 use uniloc_env::campus;
 use uniloc_schemes::SchemeId;
 
 fn main() {
     uniloc_bench::init_obs();
-    let cfg = PipelineConfig::default();
-    let models = trained_models(1);
-    let scenario = campus::daily_path(3);
-    let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
+    let models = Arc::new(trained_models(1));
+    let scenario = Arc::new(campus::daily_path(3));
+    let walk = (Arc::clone(&scenario), PipelineConfig::default(), 12);
+    let records = run_walks_parallel(vec![walk], &models, 1).remove(0);
 
     println!("Fig. 5 — scheme usage along the daily path");
     let total = records.len() as f64;

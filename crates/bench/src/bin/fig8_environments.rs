@@ -9,24 +9,34 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin fig8_environments`
 
+use std::sync::Arc;
+
 use uniloc_bench::{
-    cdf_summary, learn_calibration, pooled_errors, print_table, trained_models, SYSTEM_LABELS,
+    cdf_summary, jobs_from_env, learn_calibration, pooled_errors, print_table,
+    run_walks_parallel, trained_models, SYSTEM_LABELS,
 };
-use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
+use uniloc_core::error_model::ErrorModelSet;
+use uniloc_core::pipeline::{EpochRecord, PipelineConfig};
 use uniloc_env::{venues, Scenario};
 use uniloc_sensors::DeviceProfile;
 
+/// Walks every scenario of a set as one batch, the `i`-th on seed
+/// `seed + 13 i`.
 fn run_set(
-    scenarios: &[Scenario],
-    models: &uniloc_core::error_model::ErrorModelSet,
+    scenarios: &[Arc<Scenario>],
+    models: &Arc<ErrorModelSet>,
     cfg: &PipelineConfig,
     seed: u64,
 ) -> Vec<Vec<EpochRecord>> {
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, sc)| pipeline::run_walk(sc, models, cfg, seed + i as u64 * 13))
-        .collect()
+    let walks = (0u64..)
+        .zip(scenarios)
+        .map(|(i, sc)| (Arc::clone(sc), cfg.clone(), seed + i * 13))
+        .collect();
+    run_walks_parallel(walks, models, jobs_from_env())
+}
+
+fn arcs(scenarios: Vec<Scenario>) -> Vec<Arc<Scenario>> {
+    scenarios.into_iter().map(Arc::new).collect()
 }
 
 fn venue_table(title: &str, runs: &[Vec<EpochRecord>]) {
@@ -49,44 +59,40 @@ fn venue_table(title: &str, runs: &[Vec<EpochRecord>]) {
 fn main() {
     uniloc_bench::init_obs();
     let cfg = PipelineConfig::default();
-    let models = trained_models(1);
+    let models = Arc::new(trained_models(1));
 
     // (a) shopping mall: 10 trajectories of ~300 m.
-    let malls = venues::shopping_mall(40, 10);
+    let malls = arcs(venues::shopping_mall(40, 10));
     let mall_runs = run_set(&malls, &models, &cfg, 400);
     venue_table("Fig. 8a — shopping mall (10 x ~300 m)", &mall_runs);
 
     // (b) urban open space: 10 trajectories.
-    let spaces = venues::urban_open_space(41, 10);
+    let spaces = arcs(venues::urban_open_space(41, 10));
     let space_runs = run_set(&spaces, &models, &cfg, 500);
     venue_table("Fig. 8b — urban open space (10 trajectories)", &space_runs);
 
     // (c) office (a new office, not the training one).
-    let office = vec![venues::office("fig8-office", 42, 50.0, 18.0)];
+    let office = vec![Arc::new(venues::office("fig8-office", 42, 50.0, 18.0))];
     let office_runs = run_set(&office, &models, &cfg, 600);
     venue_table("Fig. 8c — office", &office_runs);
 
     // (d) heterogeneous devices on the office + mall, with and without the
     // online RSSI offset calibration.
     println!("\nFig. 8d — LG G3 against the Nexus-5X-trained fingerprints");
-    let hetero: Vec<Scenario> = office.into_iter().chain(malls.into_iter().take(3)).collect();
+    let hetero: Vec<Arc<Scenario>> = office.into_iter().chain(malls.into_iter().take(3)).collect();
     for (label, calibrate) in [("with calibration", true), ("without calibration", false)] {
-        let runs: Vec<Vec<EpochRecord>> = hetero
-            .iter()
-            .enumerate()
+        let walks = (0u64..)
+            .zip(&hetero)
             .map(|(i, sc)| {
                 let cfg = PipelineConfig {
                     device: DeviceProfile::lg_g3(),
-                    calibration: if calibrate {
-                        learn_calibration(sc, 700 + i as u64)
-                    } else {
-                        None
-                    },
+                    calibration: if calibrate { learn_calibration(sc, 700 + i) } else { None },
                     ..PipelineConfig::default()
                 };
-                pipeline::run_walk(sc, &models, &cfg, 800 + i as u64 * 13)
+                (Arc::clone(sc), cfg, 800 + i * 13)
             })
             .collect();
+        let runs = run_walks_parallel(walks, &models, jobs_from_env());
         let wifi = cdf_summary(&pooled_errors(&runs, "wifi"));
         let uniloc2 = cdf_summary(&pooled_errors(&runs, "uniloc2"));
         if let (Some(w), Some(u)) = (wifi, uniloc2) {

@@ -8,8 +8,13 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin table3_error_prediction`
 
-use uniloc_bench::{fmt_opt, learn_calibration, print_table, trained_models};
-use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
+use std::sync::Arc;
+
+use uniloc_bench::{
+    fmt_opt, jobs_from_env, learn_calibration, print_table, run_walks_parallel, trained_models,
+};
+use uniloc_core::error_model::ErrorModelSet;
+use uniloc_core::pipeline::{EpochRecord, PipelineConfig};
 use uniloc_env::{venues, Scenario};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::DeviceProfile;
@@ -39,8 +44,8 @@ fn prediction_pairs(records: &[EpochRecord], id: SchemeId) -> (Vec<f64>, Vec<f64
 }
 
 fn condition_nrmse(
-    scenarios: &[Scenario],
-    models: &uniloc_core::error_model::ErrorModelSet,
+    scenarios: &[Arc<Scenario>],
+    models: &Arc<ErrorModelSet>,
     device: DeviceProfile,
     calibrate: bool,
     seed: u64,
@@ -49,13 +54,18 @@ fn condition_nrmse(
         .iter()
         .map(|&id| (id, Vec::new(), Vec::new()))
         .collect();
-    for (i, sc) in scenarios.iter().enumerate() {
-        let cfg = PipelineConfig {
-            device,
-            calibration: if calibrate { learn_calibration(sc, seed + 50 + i as u64) } else { None },
-            ..PipelineConfig::default()
-        };
-        let records = pipeline::run_walk(sc, models, &cfg, seed + i as u64);
+    let walks = (0u64..)
+        .zip(scenarios)
+        .map(|(i, sc)| {
+            let cfg = PipelineConfig {
+                device,
+                calibration: if calibrate { learn_calibration(sc, seed + 50 + i) } else { None },
+                ..PipelineConfig::default()
+            };
+            (Arc::clone(sc), cfg, seed + i)
+        })
+        .collect();
+    for records in run_walks_parallel(walks, models, jobs_from_env()) {
         for (id, preds, acts) in &mut per_scheme {
             let (p, a) = prediction_pairs(&records, *id);
             preds.extend(p);
@@ -74,18 +84,20 @@ fn condition_nrmse(
 fn main() {
     uniloc_bench::init_obs();
     println!("Table III — normalized RMSE of online error prediction");
-    let models = trained_models(1);
+    let models = Arc::new(trained_models(1));
 
     // Same places: the training venues themselves.
-    let same_places = vec![venues::training_office(1), venues::training_open_space(2)];
+    let same_places =
+        vec![Arc::new(venues::training_office(1)), Arc::new(venues::training_open_space(2))];
     // New places: another office, the shopping mall and the urban open
     // space ("most of the testing environments (~89%) are different from
     // the places where the data were collected").
     let mut new_places = vec![venues::office("another-office", 77, 48.0, 18.0)];
     new_places.extend(venues::shopping_mall(78, 2));
     new_places.extend(venues::urban_open_space(79, 2));
+    let new_places: Vec<Arc<Scenario>> = new_places.into_iter().map(Arc::new).collect();
 
-    let conditions: [(&str, &[Scenario], DeviceProfile, bool); 4] = [
+    let conditions: [(&str, &[Arc<Scenario>], DeviceProfile, bool); 4] = [
         ("same/sameDev", &same_places, DeviceProfile::nexus_5x(), false),
         ("same/diffDev", &same_places, DeviceProfile::lg_g3(), true),
         ("new/sameDev", &new_places, DeviceProfile::nexus_5x(), false),

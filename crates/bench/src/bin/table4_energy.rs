@@ -6,21 +6,31 @@
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin table4_energy`
 
-use uniloc_bench::trained_models;
+use std::sync::Arc;
+
+use uniloc_bench::{jobs_from_env, run_walks_parallel, trained_models};
 use uniloc_core::energy::PowerProfile;
-use uniloc_core::pipeline::{self, PipelineConfig};
+use uniloc_core::pipeline::PipelineConfig;
 use uniloc_env::campus;
 use uniloc_schemes::SchemeId;
 
 fn main() {
     uniloc_bench::init_obs();
     let cfg = PipelineConfig::default();
-    let models = trained_models(1);
+    let models = Arc::new(trained_models(1));
     let profile = PowerProfile::default();
 
+    // One batch: path 1 on seed 12, then all eight paths for the outdoor
+    // GPS saving below.
+    let mut walks = vec![(Arc::new(campus::daily_path(3)), cfg.clone(), 12)];
+    for (i, sc) in (0u64..).zip(campus::all_paths(3)) {
+        walks.push((Arc::new(sc), cfg.clone(), 900 + i * 13));
+    }
+    let mut runs = run_walks_parallel(walks, &models, jobs_from_env());
+    let eight_paths = runs.split_off(1);
+    let records = runs.pop().expect("path 1 walked");
+
     println!("Table IV — power/energy along daily path 1 (Galaxy S2 power profile)");
-    let scenario = campus::daily_path(3);
-    let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
     let rows = profile.tabulate(&records);
     println!("{:<16}{:>12}{:>10}{:>12}", "system", "power (mW)", "time (s)", "energy (J)");
     for r in &rows {
@@ -43,8 +53,7 @@ fn main() {
     // stretches are where the policy earns its keep).
     let mut outdoor = 0usize;
     let mut enabled = 0usize;
-    for (i, sc) in campus::all_paths(3).into_iter().enumerate() {
-        let recs = pipeline::run_walk(&sc, &models, &cfg, 900 + i as u64 * 13);
+    for recs in &eight_paths {
         outdoor += recs.iter().filter(|r| !r.indoor).count();
         enabled += recs.iter().filter(|r| !r.indoor && r.gps_enabled).count();
     }

@@ -284,9 +284,9 @@ pub fn restore_session(
     session
 }
 
-/// The spec's records through the *legacy batch path*
-/// ([`pipeline::run_walk_on_frames`]), for differential testing against
-/// the scheduler.
+/// The spec's records from one [`Session`] stepped over the spec's frames
+/// on the calling thread, outside any scheduler, for differential testing
+/// against the fleet.
 pub fn solo_records(
     spec: &SessionSpec,
     models: &ErrorModelSet,
@@ -296,7 +296,8 @@ pub fn solo_records(
     let scenario = spec_scenario(spec);
     let cfg = spec_pipeline_config(base, spec);
     let frames = spec_frames(&scenario, &cfg, spec, max_epochs);
-    pipeline::run_walk_on_frames(&scenario, models, &cfg, spec.seed, &frames)
+    let mut session = Session::new(Arc::new(scenario), models, &cfg, spec.seed);
+    frames.iter().map(|frame| session.step(frame)).collect()
 }
 
 /// FNV-1a 64 over arbitrary bytes — the artifact digest primitive.
@@ -343,7 +344,7 @@ pub struct FleetResult {
     pub summaries: Vec<SessionSummary>,
     pub stats: FleetRunStats,
     /// Resilience-contract violations: non-finite fused estimates, or a
-    /// quarantined clean walker whose records diverge from a solo legacy
+    /// quarantined clean walker whose records diverge from a solo
     /// replay of the same spec (the isolation-breach spot-check).
     pub violations: Vec<String>,
     /// The fleet observatory's aggregate — every retired capture folded
@@ -951,9 +952,9 @@ pub fn run_fleet_durable(
     // personas). What would be a breach is a neighbor's fault leaking
     // in — and since every session is deterministic, a leak shows up
     // as the fleet's records diverging from a solo replay of the same
-    // spec through the legacy batch path. So each suspicious walker
-    // gets spot-checked against its solo digest, capped so a venue
-    // where quarantine is the norm cannot stall a large fleet.
+    // spec ([`solo_records`]). So each suspicious walker gets
+    // spot-checked against its solo digest, capped so a venue where
+    // quarantine is the norm cannot stall a large fleet.
     const SPOT_CHECK_CAP: usize = 64;
     let mut violations = Vec::new();
     let mut suspicious: Vec<&SessionSummary> = Vec::new();

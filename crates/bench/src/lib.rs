@@ -21,7 +21,7 @@ use uniloc_core::fleet::{
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
 use uniloc_env::{venues, Scenario};
-use uniloc_obs::session::SessionCapture;
+use uniloc_obs::session::{ObsSession, SessionCapture};
 use uniloc_obs::{StderrSubscriber, TraceLevel};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
@@ -174,11 +174,14 @@ pub fn fold_capture(merged: &mut Result<SessionCapture, String>, capture: &Sessi
     }
 }
 
-/// Runs one walk per `(scenario, cfg, seed)` triple — the records
-/// [`pipeline::run_walk`] returns — on up to `jobs` workers, in input
-/// order. The walkers' merged metrics are absorbed into the process
-/// registry afterward, so [`write_latency_breakdown`] sees their span
-/// timings at any `jobs`.
+/// Runs one walk per `(scenario, cfg, seed)` triple on up to `jobs`
+/// workers and returns each walk's records in input order — the same
+/// records the solo driver `run_walk` returns for that triple. Each
+/// walker times its spans on the process clock (its isolated
+/// observability session has no clock of its own), and the walkers'
+/// merged metrics are absorbed into the process registry afterward, so
+/// [`write_latency_breakdown`] reports wall-clock stage latencies at any
+/// `jobs`.
 ///
 /// # Panics
 ///
@@ -193,7 +196,9 @@ pub fn run_walks_parallel(
         .map(|(scenario, cfg, seed)| {
             let models = Arc::clone(models);
             move |lane| {
-                FleetSession::build(lane, scenario.name.clone(), move || {
+                let mut obs = ObsSession::isolated();
+                obs.clock = None;
+                FleetSession::build_with_obs(lane, scenario.name.clone(), Arc::new(obs), move || {
                     let frames = pipeline::walk_frames(&scenario, &cfg, seed);
                     (Session::new(scenario, &models, &cfg, seed), frames)
                 })

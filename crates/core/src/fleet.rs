@@ -30,12 +30,6 @@
 //! Wall-clock measurements ([`FleetRunStats`]) are the one intentionally
 //! nondeterministic output; they feed the throughput bench only and never
 //! the artifacts.
-//!
-//! Unlike the batch path, fleet sessions emit no harness-level
-//! `pipeline.run_walk` / `pipeline.build_context` spans (a span guard
-//! cannot be held across scheduler rounds that migrate between threads);
-//! everything else in a session's capture matches a solo batch walk. See
-//! `DESIGN.md` §9.
 
 use std::collections::BTreeMap;
 use std::fmt;

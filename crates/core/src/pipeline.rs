@@ -308,12 +308,7 @@ fn collect_training_pass(
     let mut schemes = build_schemes(scenario, ctx, cfg, seed + 2);
     let mut extractor = FeatureExtractor::new(ctx);
 
-    let mut walker = Walker::new(cfg.gait.clone(), Rng::seed_from_u64(seed + 3));
-    let walk = walker.walk(&scenario.route);
-    let mut hub = SensorHub::new(&scenario.world, cfg.device, seed + 4);
-    let frames = hub.sample_walk(&walk, cfg.epoch_interval);
-
-    for frame in &frames {
+    for frame in &walk_frames(scenario, cfg, seed) {
         extractor.begin_epoch(frame);
         let indoor = scenario.world.is_indoor(frame.true_position);
         let io = if indoor { IoState::Indoor } else { IoState::Outdoor };
@@ -339,10 +334,8 @@ fn collect_training_pass(
 /// Samples the sensor-frame stream of one walk through a scenario — the
 /// exact frames [`run_walk`] evaluates on. Exposed separately so a fault
 /// injector (`uniloc-faults`) can corrupt the stream between sampling and
-/// evaluation; uses the same RNG streams (`seed + 3` for the walker,
-/// `seed + 4` for the sensor hub) as the fused path, so
-/// `run_walk_on_frames(.., &walk_frames(..))` is byte-identical to
-/// [`run_walk`].
+/// evaluation. The walker draws from `seed + 3` and the sensor hub from
+/// `seed + 4`; training walks use the same streams.
 pub fn walk_frames(
     scenario: &Scenario,
     cfg: &PipelineConfig,
@@ -356,7 +349,14 @@ pub fn walk_frames(
 }
 
 /// Walks a scenario with trained models and records everything Section V
-/// reports.
+/// reports: one [`crate::session::Session`], built with `seed`, stepped
+/// over [`walk_frames`] on the calling thread.
+///
+/// This is the solo driver. Its observability effects land wherever the
+/// calling thread points, so `uniloc run` streams its trace live to the
+/// process subscriber, and the differential tests use it as the
+/// sequential reference. Batches of walks run on the fleet scheduler
+/// instead (`uniloc_bench::run_walks_parallel`).
 pub fn run_walk(
     scenario: &Scenario,
     models: &ErrorModelSet,
@@ -364,45 +364,8 @@ pub fn run_walk(
     seed: u64,
 ) -> Vec<EpochRecord> {
     let frames = walk_frames(scenario, cfg, seed);
-    run_walk_on_frames(scenario, models, cfg, seed, &frames)
-}
-
-/// Evaluates a pre-sampled (possibly fault-injected) frame stream with
-/// trained models. `seed` must match the one used elsewhere in the run:
-/// the survey uses `seed`, scheme construction `seed + 2` — the same
-/// stream discipline as [`run_walk`].
-///
-/// Since the session refactor this is a thin driver over
-/// [`crate::session::Session`]: one session is built from the scenario and
-/// stepped over every frame in order. The per-epoch work — and therefore
-/// every record byte and every observability effect — is the session's;
-/// the only harness-level additions are the `pipeline.run_walk` /
-/// `pipeline.build_context` spans wrapping the walk, which the fleet
-/// scheduler deliberately does not emit (see `DESIGN.md` §9).
-pub fn run_walk_on_frames(
-    scenario: &Scenario,
-    models: &ErrorModelSet,
-    cfg: &PipelineConfig,
-    seed: u64,
-    frames: &[uniloc_sensors::SensorFrame],
-) -> Vec<EpochRecord> {
-    assert_valid(cfg);
-    let obs = uniloc_obs::global();
-    let _walk_span = obs
-        .span("pipeline.run_walk")
-        .field("scenario", scenario.name.as_str())
-        .field("seed", seed);
-    let ctx = {
-        let _s = obs.span("pipeline.build_context");
-        build_context(scenario, cfg, seed)
-    };
-    let mut session = crate::session::Session::from_context(
-        std::sync::Arc::new(scenario.clone()),
-        ctx,
-        models,
-        cfg,
-        seed,
-    );
+    let mut session =
+        crate::session::Session::new(std::sync::Arc::new(scenario.clone()), models, cfg, seed);
     frames.iter().map(|frame| session.step(frame)).collect()
 }
 

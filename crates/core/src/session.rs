@@ -1,15 +1,14 @@
 //! One walker's serving session.
 //!
-//! The batch harness ([`pipeline::run_walk_on_frames`]) historically owned
-//! the whole per-epoch loop. A [`Session`] extracts exactly that loop body
-//! so the same code serves two callers:
+//! A [`Session`] is the per-epoch localization loop, and it has two
+//! drivers:
 //!
-//! * the legacy batch path — [`pipeline::run_walk_on_frames`] now builds a
-//!   `Session` and drives it over the frame stream, so its output (records
-//!   *and* observability effects, in order) is unchanged, and
+//! * the solo driver — [`pipeline::run_walk`] builds one `Session` and
+//!   steps it over the walk's frames on the calling thread, and
 //! * the fleet scheduler ([`crate::fleet`]) — thousands of concurrent
 //!   sessions, each stepped one due epoch at a time, interleaved across
-//!   worker threads.
+//!   worker threads. Every batch of walks runs here, a single walk
+//!   included.
 //!
 //! A `Session` owns everything that is per-walker: the five scheme states,
 //! the online error models, the quarantine machine and degradation ladder
@@ -21,14 +20,14 @@
 //!
 //! # Equivalence contract
 //!
-//! `Session::step` is a verbatim extraction of the historical loop body:
-//! for the same engine state and frame it performs the same engine update,
-//! the same metric/calibration/flight calls in the same order, and returns
-//! the same [`EpochRecord`]. The observability handles are resolved
-//! per-step through the `uniloc_obs::global_*` accessors, so the effects
-//! land wherever the *calling thread* points — the process singletons on
-//! the legacy path, the session's private [`ObsSession`]
-//! (`uniloc_obs::session`) under the fleet scheduler.
+//! For the same engine state and frame, `Session::step` performs the same
+//! engine update and the same metric/calibration/flight calls in the same
+//! order, and returns the same [`EpochRecord`], whichever driver calls
+//! it. The observability handles are resolved per step through the
+//! `uniloc_obs::global_*` accessors, so the effects land wherever the
+//! *calling thread* points: the process singletons on the solo path, the
+//! session's private [`ObsSession`] (`uniloc_obs::session`) under the
+//! fleet scheduler.
 
 use std::sync::Arc;
 
@@ -50,8 +49,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the session end to end: surveys the venue with `seed`
-    /// (exactly like the batch path), builds the five schemes on
+    /// Builds the session end to end: surveys the venue with `seed`,
+    /// builds the five schemes on
     /// `seed + 2` and wires the engine.
     ///
     /// # Panics
@@ -67,9 +66,8 @@ impl Session {
         Session::from_context(scenario, ctx, models, cfg, seed)
     }
 
-    /// Builds the session from an already-surveyed context — the shared
-    /// entry point of the batch harness (which wraps the survey in its own
-    /// span) and of callers that checkpoint/replay.
+    /// Builds the session from an already-surveyed context, for callers
+    /// that time or reuse the survey themselves.
     ///
     /// `seed` must be the same root used for the survey: schemes draw from
     /// `seed + 2` (fusion from `seed + 3` via `build_schemes`' `+ 1`),
@@ -104,8 +102,7 @@ impl Session {
 
     /// Serves one localization epoch: runs the engine on `frame`, feeds
     /// the calibration monitor and flight recorder, and returns the epoch
-    /// record. This is the historical `run_walk_on_frames` loop body,
-    /// verbatim — see the module docs.
+    /// record. See the module docs for the equivalence contract.
     pub fn step(&mut self, frame: &uniloc_sensors::SensorFrame) -> EpochRecord {
         let obs = uniloc_obs::global();
         let metrics = uniloc_obs::global_metrics();
@@ -213,41 +210,5 @@ impl Session {
         // next epoch reuses their capacity instead of reallocating.
         self.engine.recycle(out);
         record
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::error_model::train;
-    use uniloc_env::venues;
-
-    fn models(seed: u64) -> ErrorModelSet {
-        let cfg = PipelineConfig::default();
-        let mut samples =
-            pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-        samples.extend(pipeline::collect_training(
-            &venues::training_open_space(seed + 1),
-            &cfg,
-            seed + 11,
-        ));
-        train(&samples).expect("training venues produce enough samples")
-    }
-
-    /// Driving a `Session` frame by frame reproduces the batch harness
-    /// byte for byte — the extraction is an equivalence-preserving
-    /// refactor, not a reimplementation.
-    #[test]
-    fn session_steps_match_batch_walk() {
-        let models = models(41);
-        let cfg = PipelineConfig { indoor_spacing: 2.0, ..PipelineConfig::default() };
-        let scenario = venues::office("session-eq", 42, 40.0, 15.0);
-        let frames = pipeline::walk_frames(&scenario, &cfg, 43);
-        let batch = pipeline::run_walk_on_frames(&scenario, &models, &cfg, 43, &frames);
-
-        let mut session = Session::new(Arc::new(scenario), &models, &cfg, 43);
-        let stepped: Vec<EpochRecord> = frames.iter().map(|f| session.step(f)).collect();
-        assert_eq!(stepped, batch);
-        assert_eq!(session.epochs(), frames.len());
     }
 }

@@ -28,7 +28,7 @@
 //! field): a fleet run's walker sessions ask for attribution while every
 //! concurrently installed session that did not stays byte-identically
 //! unaffected — there is no process-global flag for sessions to race on.
-//! Code with no session installed follows [`set_tracking`] instead.
+//! Code with no session installed is never tracked.
 //!
 //! The observatory pauses itself around its own bookkeeping (the span
 //! guard's name buffer, counter-name formatting, registry inserts) via a
@@ -51,7 +51,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::metrics::global_metrics;
 
@@ -74,9 +73,7 @@ pub const STAGES: &[&str] = &[
     "scheme.estimate.gps",
     "scheme.estimate.motion",
     "scheme.estimate.fusion",
-    "pipeline.build_context",
     "pipeline.collect_training",
-    "pipeline.run_walk",
     "other",
 ];
 
@@ -90,10 +87,6 @@ const MAX_DEPTH: usize = 32;
 /// Slots per stage: allocs, bytes (allocated, monotone), deallocs,
 /// reallocs.
 const SLOTS_PER_STAGE: usize = 4;
-
-/// Process-wide tracking flag for threads with no session installed.
-/// Off by default.
-static TRACKING: AtomicBool = AtomicBool::new(false);
 
 struct AllocTls {
     /// Span-stack depth (entries above `MAX_DEPTH` are not stored).
@@ -124,47 +117,10 @@ thread_local! {
     };
 }
 
-/// Turns span-attributed allocation tracking on or off for code running
-/// with **no** [`ObsSession`](crate::session::ObsSession) installed
-/// (threads with a session installed follow the session's
-/// `alloc_tracking` opt-in instead, so concurrent sessions never race on
-/// this flag).
-pub fn set_tracking(on: bool) {
-    TRACKING.store(on, Ordering::Relaxed);
-}
-
-/// The process-wide (no-session) tracking flag.
-pub fn tracking_enabled() -> bool {
-    TRACKING.load(Ordering::Relaxed)
-}
-
 /// Whether attribution is active on the current thread: the installed
-/// session's `alloc_tracking` opt-in when a session is installed,
-/// otherwise the process-wide flag.
+/// session's `alloc_tracking` opt-in, and off with no session installed.
 pub fn tracking_active() -> bool {
-    match crate::session::current() {
-        Some(session) => session.alloc_tracking,
-        None => tracking_enabled(),
-    }
-}
-
-/// RAII scope for [`set_tracking`]: restores the previous state on drop
-/// (fleet runs enable tracking for their duration without clobbering an
-/// enclosing scope).
-pub struct TrackingGuard {
-    prev: bool,
-}
-
-/// Enables (or disables) tracking for the guard's lifetime.
-pub fn track_scope(on: bool) -> TrackingGuard {
-    let prev = TRACKING.swap(on, Ordering::Relaxed);
-    TrackingGuard { prev }
-}
-
-impl Drop for TrackingGuard {
-    fn drop(&mut self) {
-        TRACKING.store(self.prev, Ordering::Relaxed);
-    }
+    crate::session::current().is_some_and(|session| session.alloc_tracking)
 }
 
 /// RAII self-pause: while alive, this thread's heap ops are not
@@ -354,8 +310,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Every binary linking `uniloc-obs` gets the counting allocator; with
-/// tracking off (the default) the cost is one relaxed atomic load per
-/// heap operation.
+/// tracking off (the default) the cost is one thread-local depth check
+/// per heap operation.
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 
@@ -448,7 +404,7 @@ mod tests {
 
     #[test]
     fn unknown_span_names_fall_into_other() {
-        assert_eq!(intern("pipeline.collect_training"), 10);
+        assert_eq!(intern("pipeline.collect_training"), 9);
         assert_eq!(intern("no.such.stage"), OTHER);
         assert_eq!(STAGES[OTHER as usize], "other");
     }

@@ -903,9 +903,7 @@ const SPAN_PARENTS: &[(&str, &str)] = &[
     ("engine.fuse", "engine.update"),
     ("engine.predict", "engine.update"),
     ("engine.update", ""),
-    ("pipeline.build_context", ""),
     ("pipeline.collect_training", ""),
-    ("pipeline.run_walk", ""),
 ];
 
 /// The parent of `name` in the span taxonomy. Per-scheme estimate spans
@@ -1304,7 +1302,7 @@ mod tests {
                 ("engine.predict", 10),
                 ("engine.fuse", 10),
                 ("scheme.estimate.wifi", 9),
-                ("pipeline.build_context", 1),
+                ("pipeline.collect_training", 1),
             ]
             .iter()
             .map(|(n, c)| (n.to_string(), *c))
@@ -1319,7 +1317,7 @@ mod tests {
         assert_eq!(kids, ["engine.fuse", "engine.predict", "scheme.estimate.wifi"]);
         let folded = folded_lines(&root);
         assert!(folded.contains("fleet;engine.update;engine.predict 10\n"));
-        assert!(folded.contains("fleet;pipeline.build_context 1\n"));
+        assert!(folded.contains("fleet;pipeline.collect_training 1\n"));
         let doc = profile_report(&root);
         assert_eq!(doc.get("unit").unwrap().as_str().unwrap(), "calls");
     }
@@ -1369,8 +1367,8 @@ mod tests {
                     ("alloc.reallocs.engine.update", 2),
                     ("alloc.allocs.scheme.estimate.wifi", 9),
                     ("alloc.bytes.scheme.estimate.wifi", 512),
-                    ("alloc.allocs.pipeline.build_context", 100),
-                    ("alloc.bytes.pipeline.build_context", 65536),
+                    ("alloc.allocs.pipeline.collect_training", 100),
+                    ("alloc.bytes.pipeline.collect_training", 65536),
                     ("alloc.steady.allocs", 30),
                     ("alloc.steady_epochs", 6),
                 ],
@@ -1384,7 +1382,7 @@ mod tests {
         let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
-            ["engine.update", "pipeline.build_context"],
+            ["engine.update", "pipeline.collect_training"],
             "meter counters must not become stages"
         );
         let update = &root.children[0];
@@ -1396,7 +1394,7 @@ mod tests {
         let folded = alloc_folded_lines(&root);
         assert!(folded.starts_with("fleet 149\n"));
         assert!(folded.contains("fleet;engine.update;scheme.estimate.wifi 9\n"));
-        assert!(folded.contains("fleet;pipeline.build_context 100\n"));
+        assert!(folded.contains("fleet;pipeline.collect_training 100\n"));
 
         let doc = alloc_report(&snap, &root);
         let text = doc.to_string();

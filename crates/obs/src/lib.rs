@@ -86,7 +86,7 @@ pub mod metrics;
 pub mod session;
 pub mod trace;
 
-pub use alloc::{CountingAlloc, TrackingGuard, STEADY_WARMUP_EPOCHS};
+pub use alloc::{CountingAlloc, STEADY_WARMUP_EPOCHS};
 pub use calib::{
     global_calibration, process_calibration, CalibrationCell, CalibrationConfig,
     CalibrationMonitor, CalibrationSnapshot, DriftAlarm,

@@ -165,7 +165,7 @@ echo "    ok: fault sweep stayed finite, recovered, and is --jobs invariant (rep
 # plan) through the session scheduler at --jobs 1 and --jobs 4 with
 # different resident caps, strict: any non-finite fused estimate fails
 # CI, and any quarantined clean walker is spot-checked against a solo
-# legacy replay (divergence = isolation breach = fail). The FLEET.json
+# replay (divergence = isolation breach = fail). The FLEET.json
 # report carries per-session record digests and no wall-clock numbers, so
 # byte-identical artifacts across worker counts prove the fleet engine's
 # determinism contract end to end (DESIGN.md §9).
@@ -324,10 +324,34 @@ if [ ! -f results/BENCH_fleet.json ]; then
     exit 1
 fi
 target/release/uniloc bench-diff
-# Then a fresh run of one representative bench, compared warn-only: latency
-# on shared CI hardware is too noisy to gate hard, but structural drift
-# (stages appearing/vanishing, per-stage counts changing) gets surfaced.
-(cd "$smoke" && UNILOC_QUIET=1 "$OLDPWD/target/release/table5_response_time" >/dev/null)
-target/release/uniloc bench-diff --baseline results --candidate "$smoke" --warn-only
 echo "    ok: committed bench breakdowns parse and self-diff clean"
+
+# --- 7. figure tables -----------------------------------------------------
+# Every paper table/figure regenerator must reproduce its committed
+# results/<name>.txt on stdout, byte for byte. They run from a scratch
+# directory so their BENCH_<name>.json latency breakdowns land there and
+# never overwrite results/. table5's `measured:` line is wall-clock; it is
+# the one line excluded.
+echo "==> figure tables (regenerator stdout vs results/*.txt)"
+figures="$smoke/figures"
+mkdir -p "$figures"
+bin="$PWD/target/release"
+comparable() {
+    if [ "$1" = table5_response_time ]; then grep -v '^measured:' "$2"; else cat "$2"; fi
+}
+for table in results/*.txt; do
+    name=$(basename "$table" .txt)
+    (cd "$figures" && UNILOC_QUIET=1 "$bin/$name") > "$figures/$name.txt"
+    if ! diff <(comparable "$name" "$table") <(comparable "$name" "$figures/$name.txt") \
+        > "$figures/$name.diff"; then
+        echo "ERROR: $name no longer reproduces $table" >&2
+        cat "$figures/$name.diff" >&2
+        exit 1
+    fi
+done
+echo "    ok: every regenerator reproduces its committed table"
+# The fresh latency breakdowns those runs wrote, compared warn-only:
+# latency on shared CI hardware is too noisy to gate hard, but structural
+# drift (stages appearing/vanishing, per-stage counts changing) gets surfaced.
+target/release/uniloc bench-diff --baseline results --candidate "$figures" --warn-only
 echo "==> ci.sh: all checks passed"

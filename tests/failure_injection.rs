@@ -14,10 +14,11 @@
 //! * a scheme quarantined by the trip-wires is re-admitted once its
 //!   channel heals — the quarantine set is empty again by the final epoch.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use uniloc::core::error_model::{train, ErrorModelSet};
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
+use uniloc::core::session::Session;
 use uniloc::core::DegradationLadder;
 use uniloc::env::{campus, venues, Scenario};
 use uniloc::faults::{FaultClause, FaultInjector, FaultKind, FaultPlan};
@@ -37,12 +38,16 @@ fn models() -> &'static ErrorModelSet {
 /// `plan` injected. Returns `(clean, faulted)` per-epoch records.
 fn run_pair(scenario: &Scenario, plan: FaultPlan, seed: u64) -> (Vec<EpochRecord>, Vec<EpochRecord>) {
     let cfg = PipelineConfig::default();
+    let serve = |frames: &[uniloc::sensors::SensorFrame]| -> Vec<EpochRecord> {
+        let mut session = Session::new(Arc::new(scenario.clone()), models(), &cfg, seed);
+        frames.iter().map(|frame| session.step(frame)).collect()
+    };
     let frames = pipeline::walk_frames(scenario, &cfg, seed);
-    let clean = pipeline::run_walk_on_frames(scenario, models(), &cfg, seed, &frames);
+    let clean = serve(&frames);
     let mut injector =
         FaultInjector::new(plan, seed ^ 0xc4a05).with_geo_frame(*scenario.world.geo_frame());
     let faulted_frames = injector.inject_walk(&frames);
-    let faulted = pipeline::run_walk_on_frames(scenario, models(), &cfg, seed, &faulted_frames);
+    let faulted = serve(&faulted_frames);
     assert_eq!(
         faulted.len(),
         faulted_frames.len(),

@@ -1,15 +1,9 @@
 //! Differential tests for the fleet session engine (`DESIGN.md` §9): N
 //! sessions interleaved through the [`FleetScheduler`] must be
-//! epoch-for-epoch byte-identical to each walker running alone through the
-//! legacy batch path, at any worker count, resident cap and admission
+//! epoch-for-epoch byte-identical to each walker's `Session` stepped alone
+//! on the test thread, at any worker count, resident cap and admission
 //! order — and per-session fault/quarantine state must never leak between
 //! sessions under a chaos plan.
-//!
-//! Fleet sessions deliberately emit no harness-level `pipeline.run_walk` /
-//! `pipeline.build_context` spans (a span guard cannot be held across
-//! scheduler rounds), so observability comparisons filter the
-//! `span.pipeline.*` metrics out of the solo capture; everything else must
-//! match byte for byte.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +11,6 @@ use std::sync::Arc;
 use uniloc::core::error_model::{train, ErrorModelSet};
 use uniloc::core::fleet::{FleetScheduler, FinishedSession};
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
-use uniloc::core::session::Session;
 use uniloc::env::venues;
 use uniloc::obs::session as obs_session;
 use uniloc::obs::ObsSession;
@@ -76,7 +69,7 @@ fn shuffled(n: usize) -> Vec<usize> {
 }
 
 /// Tentpole (a) + (b): a 1000-session fleet is epoch-for-epoch identical
-/// to each walker alone through the legacy batch path, and its output is
+/// to each walker stepped alone ([`solo_records`]), and its output is
 /// invariant across jobs 1/2/4/8, resident caps and admission order.
 #[test]
 fn fleet_matches_legacy_batch_and_is_jobs_invariant() {
@@ -103,14 +96,13 @@ fn fleet_matches_legacy_batch_and_is_jobs_invariant() {
     let baseline =
         run_fleet_sessions(&specs, &in_order, &models, &base, cfg.max_epochs, 1, 64);
 
-    // (a) Epoch-for-epoch equality with the legacy batch path, walker by
-    // walker.
+    // (a) Epoch-for-epoch equality with the solo run, walker by walker.
     for spec in &specs {
         let solo = solo_records(spec, &models, &base, cfg.max_epochs);
         let fleet = &baseline[&spec.lane].records;
         assert_eq!(
             fleet, &solo,
-            "lane {} ({}) diverged from its legacy batch run",
+            "lane {} ({}) diverged from its solo run",
             spec.lane, spec.name
         );
     }
@@ -138,7 +130,7 @@ fn fleet_matches_legacy_batch_and_is_jobs_invariant() {
     }
 }
 
-/// The spec's records and observability capture through the legacy path,
+/// The spec's records and observability capture through the solo path,
 /// run under an isolated session so the capture is comparable.
 fn solo_with_capture(
     spec: &SessionSpec,
@@ -153,16 +145,12 @@ fn solo_with_capture(
     (records, obs.capture())
 }
 
-/// Metrics JSONL lines minus the signals the two paths deliberately emit
-/// differently: the solo path records harness-level `span.pipeline.*`
-/// timings the fleet path skips, and the fleet path runs with the
-/// allocation observatory on (`alloc.*`) while the solo path leaves it off.
-/// Alloc determinism is covered by the artifact byte-identity test above.
-fn metrics_without_pipeline_spans(m: &uniloc::obs::MetricsSnapshot) -> Vec<String> {
-    m.jsonl_lines()
-        .into_iter()
-        .filter(|l| !l.contains("\"span.pipeline.") && !l.contains("\"name\":\"alloc."))
-        .collect()
+/// Metrics JSONL lines minus the one signal the two paths deliberately
+/// emit differently: the fleet path runs with the allocation observatory
+/// on (`alloc.*`) while the solo path leaves it off. Alloc determinism is
+/// covered by the artifact byte-identity test above.
+fn metrics_without_alloc(m: &uniloc::obs::MetricsSnapshot) -> Vec<String> {
+    m.jsonl_lines().into_iter().filter(|l| !l.contains("\"name\":\"alloc.")).collect()
 }
 
 /// Flight postmortems embed counter deltas, which pick up `alloc.*`
@@ -226,12 +214,11 @@ fn fault_and_quarantine_state_never_leaks_between_sessions() {
         let f = &fleet[&spec.lane];
         let (solo, solo_cap) = solo_with_capture(spec, &models, &base, cfg.max_epochs);
         assert_eq!(f.records, solo, "lane {} diverged under fleet chaos", spec.lane);
-        // The walker's whole observability capture matches its solo run
-        // (modulo the harness spans): nothing from a neighbor leaked in,
-        // nothing of its own leaked out.
+        // The walker's whole observability capture matches its solo run:
+        // nothing from a neighbor leaked in, nothing of its own leaked out.
         assert_eq!(
-            metrics_without_pipeline_spans(&f.capture.metrics),
-            metrics_without_pipeline_spans(&solo_cap.metrics),
+            metrics_without_alloc(&f.capture.metrics),
+            metrics_without_alloc(&solo_cap.metrics),
             "lane {} metrics diverged",
             spec.lane
         );
@@ -468,19 +455,4 @@ fn load_generator_is_seed_deterministic() {
     let seeds_a: Vec<u64> = a.iter().map(|s| s.seed).collect();
     let seeds_c: Vec<u64> = c.iter().map(|s| s.seed).collect();
     assert!(seeds_a.iter().all(|s| !seeds_c.contains(s)));
-}
-
-/// One tiny stepped-vs-batch cross-check through the public facade, so a
-/// regression in the `Session` extraction fails fast here too, not only
-/// in the heavyweight differential above.
-#[test]
-fn facade_session_steps_match_batch() {
-    let models = models(5);
-    let cfg = PipelineConfig { indoor_spacing: 3.0, ..PipelineConfig::default() };
-    let scenario = venues::office("facade-eq", 7, 30.0, 12.0);
-    let frames = pipeline::walk_frames(&scenario, &cfg, 8);
-    let batch = pipeline::run_walk_on_frames(&scenario, &models, &cfg, 8, &frames);
-    let mut session = Session::new(Arc::new(scenario), &models, &cfg, 8);
-    let stepped: Vec<EpochRecord> = frames.iter().map(|f| session.step(f)).collect();
-    assert_eq!(stepped, batch);
 }
