@@ -11,6 +11,8 @@
 //!   top-3 match (indexed and the retained linear reference), the density
 //!   feature (grid-backed and linear) and one fusion-scheme epoch.
 
+use std::sync::Arc;
+
 use uniloc_bench::chaos::scenario_by_name;
 use uniloc_bench::microbench::{black_box, BenchmarkId, Criterion};
 use uniloc_bench::{criterion_group, criterion_main};
@@ -101,7 +103,7 @@ fn bench_venues(c: &mut Criterion) {
             ctx.plan.clone(),
             scenario.route.start(),
             cfg.pdr,
-            ctx.wifi_db.clone(),
+            Arc::clone(&ctx.wifi_db),
             11,
         );
         let mut i = 0;

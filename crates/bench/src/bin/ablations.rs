@@ -175,7 +175,7 @@ fn main() {
         let density = db
             .local_density(Point::new(28.0, 10.0), 20.0)
             .unwrap_or(f64::NAN);
-        let mut scheme = WifiFingerprintScheme::new(db).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(Arc::new(db));
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))
@@ -190,7 +190,7 @@ fn main() {
     // ---- 5. Horus vs RADAR: the sample-count trade-off -----------------
     println!("\n== ablation 5: Horus vs RADAR (probabilistic fingerprints) ==");
     let radar_err = {
-        let mut scheme = WifiFingerprintScheme::new(full_db.clone()).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(Arc::new(full_db.clone()));
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))

@@ -862,7 +862,9 @@ impl UniLocEngine {
 mod tests {
     use super::*;
     use crate::error_model::LinearErrorModel;
+    use std::sync::Arc;
     use uniloc_schemes::fingerprint::FingerprintDb;
+    use uniloc_sensors::{CellScan, WifiScan};
 
     /// A scripted scheme for engine unit tests.
     struct Scripted {
@@ -881,8 +883,8 @@ mod tests {
 
     fn empty_ctx() -> SharedContext {
         SharedContext {
-            wifi_db: FingerprintDb::from_entries(Vec::<(Point, uniloc_sensors::WifiScan)>::new()),
-            cell_db: FingerprintDb::from_entries(Vec::<(Point, uniloc_sensors::CellScan)>::new()),
+            wifi_db: Arc::new(FingerprintDb::from_entries(Vec::<(Point, WifiScan)>::new())),
+            cell_db: Arc::new(FingerprintDb::from_entries(Vec::<(Point, CellScan)>::new())),
             plan: uniloc_geom::FloorPlan::new(),
         }
     }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use uniloc_filters::{Hmm2Predictor, Kalman2D};
 use uniloc_geom::{FloorPlan, Point};
 use uniloc_iodetect::IoState;
-use uniloc_schemes::{CellFingerprintDb, SchemeId, WifiFingerprintDb};
+use uniloc_schemes::{CellFingerprintDb, SchemeId, WifiFingerprintDb, MIN_APS, TOP_K};
 use uniloc_sensors::SensorFrame;
 
 /// A user-supplied feature extractor for a custom scheme: given the shared
@@ -53,17 +53,18 @@ pub const OUTDOOR_WIDTH_FALLBACK_M: f64 = 15.0;
 /// Path width (m) assumed indoors when no corridor is mapped.
 pub const INDOOR_WIDTH_FALLBACK_M: f64 = 3.0;
 
-/// Candidates considered for the RSSI distance deviation (paper: k = 3).
-pub const TOP_K: usize = 3;
-
 /// Immutable per-venue inputs to feature extraction: the offline fingerprint
 /// databases and the public map.
+///
+/// The context owns the session's radio maps: the schemes built over it
+/// hold `Arc` clones of the same databases, so cloning a context or
+/// building schemes from it never copies a map.
 #[derive(Debug, Clone)]
 pub struct SharedContext {
-    /// WiFi fingerprint database (also used by the WiFi and fusion schemes).
-    pub wifi_db: WifiFingerprintDb,
-    /// Cellular fingerprint database.
-    pub cell_db: CellFingerprintDb,
+    /// WiFi fingerprint database (also read by the WiFi and fusion schemes).
+    pub wifi_db: Arc<WifiFingerprintDb>,
+    /// Cellular fingerprint database (also read by the cellular scheme).
+    pub cell_db: Arc<CellFingerprintDb>,
     /// The venue floor plan.
     pub plan: FloorPlan,
 }
@@ -89,7 +90,7 @@ pub enum PredictorKind {
 #[derive(Debug, Clone)]
 enum Predictor {
     Hmm2(Option<Hmm2Predictor>),
-    Kalman { filter: Option<Kalman2D>, last_t: f64 },
+    Kalman(Option<Kalman2D>),
     LastEstimate,
 }
 
@@ -98,6 +99,9 @@ enum Predictor {
 #[derive(Clone)]
 pub struct FeatureExtractor {
     dist_since_landmark: f64,
+    /// The configured predictor, kept so [`reset`](Self::reset) rebuilds
+    /// the same one.
+    kind: PredictorKind,
     predictor: Predictor,
     last_estimate: Option<Point>,
     /// This epoch's WiFi fingerprint density, shared by the WiFi and
@@ -107,8 +111,9 @@ pub struct FeatureExtractor {
 }
 
 /// One density value with the exact inputs it was computed from: the
-/// database's address and the location's bits. Cleared every epoch, so
-/// the address cannot outlive the database it names.
+/// database's identity (its `Arc` pointer) and the location's bits.
+/// Cleared every epoch, so the pointer cannot outlive the database it
+/// names.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct DensityMemo {
     db: usize,
@@ -120,6 +125,7 @@ impl std::fmt::Debug for FeatureExtractor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FeatureExtractor")
             .field("dist_since_landmark", &self.dist_since_landmark)
+            .field("kind", &self.kind)
             .field("predictor", &self.predictor)
             .field("last_estimate", &self.last_estimate)
             .field("custom_schemes", &self.custom.keys().collect::<Vec<_>>())
@@ -155,11 +161,12 @@ impl FeatureExtractor {
                 }
                 Predictor::Hmm2(Hmm2Predictor::new(states, 2.5, 5.0).ok())
             }
-            PredictorKind::Kalman => Predictor::Kalman { filter: None, last_t: 0.0 },
+            PredictorKind::Kalman => Predictor::Kalman(None),
             PredictorKind::LastEstimate => Predictor::LastEstimate,
         };
         FeatureExtractor {
             dist_since_landmark: 0.0,
+            kind,
             predictor,
             last_estimate: None,
             wifi_density: None,
@@ -201,7 +208,7 @@ impl FeatureExtractor {
                 .as_ref()
                 .and_then(Hmm2Predictor::predict_next)
                 .or(self.last_estimate),
-            Predictor::Kalman { filter, .. } => {
+            Predictor::Kalman(filter) => {
                 filter.as_ref().map(Kalman2D::position).or(self.last_estimate)
             }
             Predictor::LastEstimate => self.last_estimate,
@@ -217,9 +224,8 @@ impl FeatureExtractor {
                     h.observe(p);
                 }
             }
-            Predictor::Kalman { filter, last_t } => {
+            Predictor::Kalman(filter) => {
                 let kf = filter.get_or_insert_with(|| Kalman2D::new(p, 0.5, 9.0));
-                *last_t += 0.5;
                 kf.predict(0.5);
                 kf.update(p);
             }
@@ -228,10 +234,11 @@ impl FeatureExtractor {
         self.last_estimate = Some(p);
     }
 
-    /// Resets per-walk state (custom registrations are preserved).
+    /// Resets per-walk state (the predictor kind and custom registrations
+    /// are preserved).
     pub fn reset(&mut self, ctx: &SharedContext) {
         let custom = std::mem::take(&mut self.custom);
-        *self = FeatureExtractor::new(ctx);
+        *self = FeatureExtractor::with_predictor(ctx, self.kind);
         self.custom = custom;
     }
 
@@ -285,11 +292,9 @@ impl FeatureExtractor {
             }
             SchemeId::Wifi => {
                 let Some(scan) = frame.wifi.as_ref() else { return false };
-                // "When the number of audible APs is less than 3, it is
-                // unlikely for the RSSI fingerprinting scheme to provide a
-                // meaningful result" — below that, WiFi counts as
-                // unavailable (and the scheme itself is gated identically).
-                if scan.len() < 3 {
+                // Below the scheme's own AP gate, WiFi counts as
+                // unavailable.
+                if scan.len() < MIN_APS {
                     return false;
                 }
                 ctx.wifi_db.match_scan_into(scan, TOP_K, matches);
@@ -344,7 +349,7 @@ impl FeatureExtractor {
     /// epoch for a given database and location.
     fn wifi_density(&mut self, ctx: &SharedContext, loc: Option<Point>) -> f64 {
         let key = (
-            std::ptr::from_ref(&ctx.wifi_db) as usize,
+            Arc::as_ptr(&ctx.wifi_db) as usize,
             loc.map(|p| (p.x.to_bits(), p.y.to_bits())),
         );
         match self.wifi_density {
@@ -409,8 +414,8 @@ mod tests {
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
         let pts = scenario.survey_points(3.0, 12.0);
         SharedContext {
-            wifi_db: WifiFingerprintDb::survey_wifi(&mut hub, &pts),
-            cell_db: CellFingerprintDb::survey_cell(&mut hub, &pts),
+            wifi_db: Arc::new(WifiFingerprintDb::survey_wifi(&mut hub, &pts)),
+            cell_db: Arc::new(CellFingerprintDb::survey_cell(&mut hub, &pts)),
             plan: scenario.world.floorplan().clone(),
         }
     }
@@ -556,6 +561,19 @@ mod tests {
         let p = fx.predicted_location().unwrap();
         // Second-order prediction extrapolates eastward.
         assert!(p.x >= 6.0);
+    }
+
+    #[test]
+    fn reset_keeps_the_configured_predictor() {
+        let scenario = campus::daily_path(115);
+        let ctx = context(&scenario, 116);
+        let mut fx = FeatureExtractor::with_predictor(&ctx, PredictorKind::LastEstimate);
+        fx.reset(&ctx);
+        // Off the fingerprint grid: only the last-estimate predictor
+        // returns it unchanged.
+        let p = Point::new(12.345, 6.789);
+        fx.note_estimate(p);
+        assert_eq!(fx.predicted_location(), Some(p));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   models and record every scheme's error, UniLoc1/UniLoc2's errors, the
 //!   oracle, scheme usage and the GPS duty cycle.
 
+use std::sync::Arc;
+
 use crate::error_model::{ErrorModelSet, ErrorPrediction, TrainingSample};
 use crate::features::{FeatureExtractor, PredictorKind, SharedContext};
 use crate::quarantine::DegradationLadder;
@@ -223,13 +225,14 @@ pub fn build_context(scenario: &Scenario, cfg: &PipelineConfig, seed: u64) -> Sh
     let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
     let points = scenario.survey_points(cfg.indoor_spacing, cfg.outdoor_spacing);
     SharedContext {
-        wifi_db: WifiFingerprintDb::survey_wifi(&mut hub, &points),
-        cell_db: CellFingerprintDb::survey_cell(&mut hub, &points),
+        wifi_db: Arc::new(WifiFingerprintDb::survey_wifi(&mut hub, &points)),
+        cell_db: Arc::new(CellFingerprintDb::survey_cell(&mut hub, &points)),
         plan: scenario.world.floorplan().clone(),
     }
 }
 
-/// Builds the paper's five schemes for a scenario.
+/// Builds the paper's five schemes for a scenario. The fingerprint
+/// schemes share the context's radio maps rather than copying them.
 pub fn build_schemes(
     scenario: &Scenario,
     ctx: &SharedContext,
@@ -237,20 +240,20 @@ pub fn build_schemes(
     seed: u64,
 ) -> Vec<Box<dyn LocalizationScheme>> {
     let start = scenario.route.start();
-    let mut wifi = WifiFingerprintScheme::new(ctx.wifi_db.clone()).with_min_aps(3);
+    let mut wifi = WifiFingerprintScheme::new(Arc::clone(&ctx.wifi_db));
     if let Some(cal) = cfg.calibration {
         wifi = wifi.with_calibration(cal);
     }
     vec![
         Box::new(GpsScheme::new(*scenario.world.geo_frame())),
         Box::new(wifi),
-        Box::new(CellFingerprintScheme::new(ctx.cell_db.clone())),
+        Box::new(CellFingerprintScheme::new(Arc::clone(&ctx.cell_db))),
         Box::new(PdrScheme::new(ctx.plan.clone(), start, cfg.pdr, seed)),
         Box::new(FusionScheme::new(
             ctx.plan.clone(),
             start,
             cfg.pdr,
-            ctx.wifi_db.clone(),
+            Arc::clone(&ctx.wifi_db),
             seed + 1,
         )),
     ]
@@ -282,8 +285,8 @@ pub fn collect_training(
         let ctx = match spacing {
             None => base_ctx.clone(),
             Some(s) => SharedContext {
-                wifi_db: base_ctx.wifi_db.downsampled(s),
-                cell_db: base_ctx.cell_db.downsampled(s),
+                wifi_db: Arc::new(base_ctx.wifi_db.downsampled(s)),
+                cell_db: Arc::new(base_ctx.cell_db.downsampled(s)),
                 plan: base_ctx.plan.clone(),
             },
         };

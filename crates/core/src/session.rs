@@ -212,3 +212,26 @@ impl Session {
         record
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uniloc_env::venues;
+
+    #[test]
+    fn session_shares_the_context_radio_maps() {
+        let scenario = Arc::new(venues::training_office(301));
+        let cfg = PipelineConfig { indoor_spacing: 3.0, ..PipelineConfig::default() };
+        let ctx = pipeline::build_context(&scenario, &cfg, 302);
+        let wifi = Arc::clone(&ctx.wifi_db);
+        let cell = Arc::clone(&ctx.cell_db);
+        let session = Session::from_context(scenario, ctx, &ErrorModelSet::default(), &cfg, 302);
+        // This test, the engine's context, the WiFi scheme and the fusion
+        // scheme hold the one WiFi map; the cellular scheme holds the
+        // cellular one. A scheme that copied its map would not count.
+        assert_eq!(Arc::strong_count(&wifi), 4);
+        assert_eq!(Arc::strong_count(&cell), 3);
+        drop(session);
+        assert_eq!((Arc::strong_count(&wifi), Arc::strong_count(&cell)), (1, 1));
+    }
+}

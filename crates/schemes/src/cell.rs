@@ -5,29 +5,23 @@
 //! but cellular reaches places WiFi and GPS do not (the paper's basement
 //! segment is where this scheme wins 11.4% of all locations).
 
-use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::CellFingerprintDb;
-use uniloc_sensors::SensorFrame;
+use std::sync::Arc;
 
-/// Number of top candidates for the spread statistic (k = 3, as for WiFi).
-pub const TOP_K: usize = 3;
+use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
+use crate::fingerprint::{self, CellFingerprintDb, FingerprintMatch, TOP_K};
+use uniloc_sensors::SensorFrame;
 
 /// The cellular fingerprinting scheme.
 #[derive(Debug, Clone)]
 pub struct CellFingerprintScheme {
-    db: CellFingerprintDb,
-    last_matches: Vec<crate::fingerprint::FingerprintMatch>,
+    db: Arc<CellFingerprintDb>,
+    last_matches: Vec<FingerprintMatch>,
 }
 
 impl CellFingerprintScheme {
     /// Creates the scheme over an offline cellular fingerprint database.
-    pub fn new(db: CellFingerprintDb) -> Self {
+    pub fn new(db: Arc<CellFingerprintDb>) -> Self {
         CellFingerprintScheme { db, last_matches: Vec::new() }
-    }
-
-    /// The offline database (shared with UniLoc's feature extractor).
-    pub fn db(&self) -> &CellFingerprintDb {
-        &self.db
     }
 }
 
@@ -43,49 +37,15 @@ impl LocalizationScheme for CellFingerprintScheme {
             return None;
         }
         self.db.match_scan_into(scan, TOP_K, &mut self.last_matches);
-        let best = *self.last_matches.first()?;
-        let spread = if self.last_matches.len() > 1 {
-            Some(
-                self.last_matches
-                    .iter()
-                    .skip(1)
-                    .map(|c| c.position.distance(best.position))
-                    .sum::<f64>()
-                    / (self.last_matches.len() - 1) as f64,
-            )
-        } else {
-            None
-        };
-        Some(LocationEstimate { position: best.position, spread })
+        fingerprint::top_k_estimate(&self.last_matches)
     }
 
     fn posterior(&self) -> Option<Vec<(uniloc_geom::Point, f64)>> {
-        if self.last_matches.is_empty() {
-            return None;
-        }
-        let d0 = self.last_matches[0].distance;
-        Some(
-            self.last_matches
-                .iter()
-                .map(|m| (m.position, (-(m.distance - d0) / 3.0).exp()))
-                .collect(),
-        )
+        fingerprint::top_k_posterior(&self.last_matches)
     }
 
     fn posterior_mean(&self) -> Option<uniloc_geom::Point> {
-        if self.last_matches.is_empty() {
-            return None;
-        }
-        let d0 = self.last_matches[0].distance;
-        let weight = |m: &crate::fingerprint::FingerprintMatch| (-(m.distance - d0) / 3.0).exp();
-        let w: f64 = self.last_matches.iter().map(weight).sum();
-        if w > 0.0 {
-            let x = self.last_matches.iter().map(|m| weight(m) * m.position.x).sum::<f64>() / w;
-            let y = self.last_matches.iter().map(|m| weight(m) * m.position.y).sum::<f64>() / w;
-            Some(uniloc_geom::Point::new(x, y))
-        } else {
-            None
-        }
+        fingerprint::top_k_posterior_mean(&self.last_matches)
     }
 }
 
@@ -101,7 +61,7 @@ mod tests {
         let scenario = campus::daily_path(61);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 62);
         let points = scenario.survey_points(3.0, 12.0);
-        let db = CellFingerprintDb::survey_cell(&mut hub, &points);
+        let db = Arc::new(CellFingerprintDb::survey_cell(&mut hub, &points));
         let mut scheme = CellFingerprintScheme::new(db);
 
         let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(63));
@@ -138,8 +98,8 @@ mod tests {
         let points = scenario.survey_points(3.0, 12.0);
         let cell_db = CellFingerprintDb::survey_cell(&mut hub, &points);
         let wifi_db = crate::fingerprint::WifiFingerprintDb::survey_wifi(&mut hub, &points);
-        let mut cell = CellFingerprintScheme::new(cell_db);
-        let mut wifi = crate::wifi::WifiFingerprintScheme::new(wifi_db);
+        let mut cell = CellFingerprintScheme::new(Arc::new(cell_db));
+        let mut wifi = crate::wifi::WifiFingerprintScheme::new(Arc::new(wifi_db));
 
         let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(67));
         let walk = walker.walk(&scenario.route);
@@ -168,7 +128,8 @@ mod tests {
     fn empty_scan_yields_none() {
         let scenario = campus::daily_path(69);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 70);
-        let db = CellFingerprintDb::survey_cell(&mut hub, &scenario.survey_points(3.0, 12.0));
+        let points = scenario.survey_points(3.0, 12.0);
+        let db = Arc::new(CellFingerprintDb::survey_cell(&mut hub, &points));
         let mut scheme = CellFingerprintScheme::new(db);
         let frame = SensorFrame {
             t: 0.0,

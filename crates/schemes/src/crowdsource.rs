@@ -129,6 +129,7 @@ mod tests {
     use super::*;
     use crate::wifi::WifiFingerprintScheme;
     use crate::LocalizationScheme;
+    use std::sync::Arc;
     use uniloc_rng::Rng;
     use uniloc_env::{venues, GaitProfile, Walker};
     use uniloc_sensors::{DeviceProfile, SensorHub};
@@ -212,8 +213,8 @@ mod tests {
             &scenario.survey_points(3.0, 12.0),
         );
 
-        let mut crowd_scheme = WifiFingerprintScheme::new(crowd_db).with_min_aps(3);
-        let mut surveyed_scheme = WifiFingerprintScheme::new(surveyed).with_min_aps(3);
+        let mut crowd_scheme = WifiFingerprintScheme::new(Arc::new(crowd_db));
+        let mut surveyed_scheme = WifiFingerprintScheme::new(Arc::new(surveyed));
         let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(161));
         let walk = walker.walk(&scenario.route);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 162);

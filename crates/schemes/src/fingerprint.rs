@@ -6,6 +6,7 @@
 //! fingerprint has one sample from each audible AP". The same machinery
 //! serves the cellular scheme over tower RSSIs.
 
+use crate::estimate::LocationEstimate;
 use crate::index::SignalIndex;
 use uniloc_geom::Point;
 use uniloc_sensors::{CellScan, SensorHub, WifiScan};
@@ -13,6 +14,16 @@ use uniloc_sensors::{CellScan, SensorHub, WifiScan};
 /// Default penalty (dB) charged per AP audible in only one of two compared
 /// scans.
 pub const DEFAULT_MISSING_PENALTY_DBM: f64 = 12.0;
+
+/// Number of top candidates a fingerprint lookup keeps, for the spread
+/// statistic, the posterior and the RSSI-deviation feature (the paper sets
+/// `k = 3`).
+pub const TOP_K: usize = 3;
+
+/// Minimum audible APs for a meaningful WiFi fingerprint result: "when the
+/// number of audible APs is less than 3, it is unlikely for the RSSI
+/// fingerprinting scheme to provide a meaningful result".
+pub const MIN_APS: usize = 3;
 
 /// Scans that support the RSSI fingerprint distance.
 pub trait RssiLike: Clone {
@@ -68,6 +79,43 @@ pub struct FingerprintMatch {
     pub position: Point,
     /// RSSI distance between the online scan and this fingerprint.
     pub distance: f64,
+}
+
+/// The top-k point estimate: the best candidate's position, with the mean
+/// distance of the other candidates to it as the spread. `None` when
+/// nothing matched.
+pub fn top_k_estimate(matches: &[FingerprintMatch]) -> Option<LocationEstimate> {
+    let (best, rest) = matches.split_first()?;
+    let spread = (!rest.is_empty()).then(|| {
+        rest.iter().map(|c| c.position.distance(best.position)).sum::<f64>() / rest.len() as f64
+    });
+    Some(LocationEstimate { position: best.position, spread })
+}
+
+/// Softmax weight of a candidate relative to the best one, at RSSI
+/// distance `d0`: a candidate 3 dB worse carries ~37% of the best one's
+/// mass.
+fn top_k_weight(m: &FingerprintMatch, d0: f64) -> f64 {
+    (-(m.distance - d0) / 3.0).exp()
+}
+
+/// The top-k candidates as an (unnormalized) posterior over positions.
+pub fn top_k_posterior(matches: &[FingerprintMatch]) -> Option<Vec<(Point, f64)>> {
+    let d0 = matches.first()?.distance;
+    Some(matches.iter().map(|m| (m.position, top_k_weight(m, d0))).collect())
+}
+
+/// The mean of [`top_k_posterior`].
+pub fn top_k_posterior_mean(matches: &[FingerprintMatch]) -> Option<Point> {
+    let d0 = matches.first()?.distance;
+    let w: f64 = matches.iter().map(|m| top_k_weight(m, d0)).sum();
+    if w > 0.0 {
+        let x = matches.iter().map(|m| top_k_weight(m, d0) * m.position.x).sum::<f64>() / w;
+        let y = matches.iter().map(|m| top_k_weight(m, d0) * m.position.y).sum::<f64>() / w;
+        Some(Point::new(x, y))
+    } else {
+        None
+    }
 }
 
 /// An offline fingerprint database over scans of type `S`.

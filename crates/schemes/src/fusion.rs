@@ -14,6 +14,8 @@
 //! location". Recognizing and exploiting that variation is UniLoc's job,
 //! not the baseline's.
 
+use std::sync::Arc;
+
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
 use crate::fingerprint::WifiFingerprintDb;
 use crate::pdr::{PdrConfig, PdrCore};
@@ -70,7 +72,7 @@ impl LikelihoodMemo {
 #[derive(Debug, Clone)]
 pub struct FusionScheme {
     core: PdrCore,
-    db: WifiFingerprintDb,
+    db: Arc<WifiFingerprintDb>,
     memo: LikelihoodMemo,
 }
 
@@ -81,16 +83,11 @@ impl FusionScheme {
         plan: FloorPlan,
         start: Point,
         config: PdrConfig,
-        db: WifiFingerprintDb,
+        db: Arc<WifiFingerprintDb>,
         seed: u64,
     ) -> Self {
         let memo = LikelihoodMemo::new(db.len());
         FusionScheme { core: PdrCore::new(plan, start, config, seed), db, memo }
-    }
-
-    /// The offline database (shared with UniLoc's feature extractor).
-    pub fn db(&self) -> &WifiFingerprintDb {
-        &self.db
     }
 
     /// Reweights particles by the RSSI likelihood of the online scan
@@ -103,18 +100,8 @@ impl FusionScheme {
         if !self.db.hears_any(scan) {
             return;
         }
-        // Travi-Navi weighting: each particle is scored by the RSSI
-        // distance between the online scan and the offline fingerprint
-        // nearest to that particle ("assign different weights to the
-        // particles of motion-based PDR according to the RSSI distances
-        // between the online and offline RSSI vectors"). The pass is
-        // deliberately *not* quality-adaptive: as the paper observes, the
-        // "existing fusion-based schemes process the RSSI data in the same
-        // way at different locations, but do not consider the quality
-        // variation of RSSI data" — so where the scan is junk (e.g. the
-        // 180 m mark of the daily path), "the low-quality RSSIs make the
-        // estimated location depart from the user's true location".
-        // Recognizing that variation is UniLoc's job, not the baseline's.
+        // Each particle is scored by the RSSI distance between the online
+        // scan and the offline fingerprint nearest to that particle.
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
         let index = self.db.index();
         let memo = &mut self.memo;
@@ -215,7 +202,7 @@ mod tests {
     fn build_fusion(scenario: &campus::Scenario, seed: u64) -> FusionScheme {
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
         let points = scenario.survey_points(3.0, 12.0);
-        let db = WifiFingerprintDb::survey_wifi(&mut hub, &points);
+        let db = Arc::new(WifiFingerprintDb::survey_wifi(&mut hub, &points));
         FusionScheme::new(
             scenario.world.floorplan().clone(),
             scenario.route.start(),

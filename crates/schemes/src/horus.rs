@@ -11,6 +11,7 @@
 //! `horus_vs_radar` ablation in `uniloc-bench`).
 
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
+use crate::fingerprint::MIN_APS;
 use uniloc_env::ApId;
 use uniloc_geom::Point;
 use uniloc_sensors::{SensorFrame, SensorHub, WifiScan};
@@ -166,18 +167,12 @@ impl ProbFingerprintDb {
 #[derive(Debug, Clone)]
 pub struct HorusScheme {
     db: ProbFingerprintDb,
-    min_aps: usize,
 }
 
 impl HorusScheme {
     /// Creates the scheme over a probabilistic database.
     pub fn new(db: ProbFingerprintDb) -> Self {
-        HorusScheme { db, min_aps: 3 }
-    }
-
-    /// The underlying database.
-    pub fn db(&self) -> &ProbFingerprintDb {
-        &self.db
+        HorusScheme { db }
     }
 }
 
@@ -192,7 +187,7 @@ impl LocalizationScheme for HorusScheme {
 
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
         let scan = frame.wifi.as_ref()?;
-        if scan.len() < self.min_aps {
+        if scan.len() < MIN_APS {
             return None;
         }
         let (p, _gap) = self.db.locate(scan)?;

@@ -32,7 +32,7 @@ pub use cell::CellFingerprintScheme;
 pub use crowdsource::RadioMapBuilder;
 pub use estimate::{LocalizationScheme, LocationEstimate, SchemeId};
 pub use horus::{HorusScheme, ProbFingerprintDb};
-pub use fingerprint::{CellFingerprintDb, FingerprintMatch, WifiFingerprintDb};
+pub use fingerprint::{CellFingerprintDb, FingerprintMatch, WifiFingerprintDb, MIN_APS, TOP_K};
 pub use index::{SignalIndex, SpatialGrid};
 pub use fusion::FusionScheme;
 pub use gps::GpsScheme;

@@ -6,19 +6,18 @@
 //! into the reference device's RSSI space via an online-learned offset
 //! ([`RssiCalibration`]).
 
-use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::WifiFingerprintDb;
-use uniloc_sensors::{RssiCalibration, SensorFrame, WifiScan};
+use std::sync::Arc;
 
-/// Number of top candidates retained for the spread statistic and the
-/// error-model feature (the paper sets `k = 3`).
-pub const TOP_K: usize = 3;
+use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
+use crate::fingerprint::{self, FingerprintMatch, WifiFingerprintDb, MIN_APS, TOP_K};
+use uniloc_sensors::{RssiCalibration, SensorFrame, WifiScan};
 
 /// The RADAR-style WiFi fingerprinting scheme.
 ///
 /// # Examples
 ///
 /// ```no_run
+/// use std::sync::Arc;
 /// use uniloc_env::campus;
 /// use uniloc_schemes::{WifiFingerprintDb, WifiFingerprintScheme, LocalizationScheme};
 /// use uniloc_sensors::{DeviceProfile, SensorHub};
@@ -26,31 +25,27 @@ pub const TOP_K: usize = 3;
 /// let scenario = campus::daily_path(1);
 /// let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 2);
 /// let points = scenario.survey_points(3.0, 12.0);
-/// let db = WifiFingerprintDb::survey_wifi(&mut hub, &points);
+/// let db = Arc::new(WifiFingerprintDb::survey_wifi(&mut hub, &points));
 /// let scheme = WifiFingerprintScheme::new(db);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WifiFingerprintScheme {
-    db: WifiFingerprintDb,
+    db: Arc<WifiFingerprintDb>,
     calibration: RssiCalibration,
-    /// Minimum audible APs for a meaningful result ("when the number of
-    /// audible APs is less than 3, it is unlikely [...] to provide a
-    /// meaningful result").
-    min_aps: usize,
     /// Top-k candidates of the latest match, for [`LocalizationScheme::posterior`].
-    last_matches: Vec<crate::fingerprint::FingerprintMatch>,
+    last_matches: Vec<FingerprintMatch>,
     /// Calibrated-scan scratch, recycled across epochs so steady-state
     /// updates perform no heap allocation.
     calibrated_buf: WifiScan,
 }
 
 impl WifiFingerprintScheme {
-    /// Creates the scheme over an offline fingerprint database.
-    pub fn new(db: WifiFingerprintDb) -> Self {
+    /// Creates the scheme over an offline fingerprint database. Scans
+    /// hearing fewer than [`MIN_APS`] APs yield no estimate.
+    pub fn new(db: Arc<WifiFingerprintDb>) -> Self {
         WifiFingerprintScheme {
             db,
             calibration: RssiCalibration::identity(),
-            min_aps: 1,
             last_matches: Vec::new(),
             calibrated_buf: WifiScan { readings: Vec::new() },
         }
@@ -62,23 +57,6 @@ impl WifiFingerprintScheme {
         self.calibration = calibration;
         self
     }
-
-    /// Requires at least `n` audible APs before producing an estimate.
-    pub fn with_min_aps(mut self, n: usize) -> Self {
-        self.min_aps = n;
-        self
-    }
-
-    /// The offline database (shared with UniLoc's feature extractor).
-    pub fn db(&self) -> &WifiFingerprintDb {
-        &self.db
-    }
-
-    /// The active calibration.
-    pub fn calibration(&self) -> RssiCalibration {
-        self.calibration
-    }
-
 }
 
 impl LocalizationScheme for WifiFingerprintScheme {
@@ -89,7 +67,7 @@ impl LocalizationScheme for WifiFingerprintScheme {
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
         self.last_matches.clear();
         let scan = frame.wifi.as_ref()?;
-        if scan.len() < self.min_aps {
+        if scan.len() < MIN_APS {
             return None;
         }
         {
@@ -104,52 +82,15 @@ impl LocalizationScheme for WifiFingerprintScheme {
             .readings
             .extend(scan.readings.iter().map(|&(id, rssi)| (id, calibration.apply(rssi))));
         self.db.match_scan_into(&self.calibrated_buf, TOP_K, &mut self.last_matches);
-        let best = *self.last_matches.first()?;
-        // Spread: scatter of the top-k candidate positions around the best.
-        let spread = if self.last_matches.len() > 1 {
-            let m = self
-                .last_matches
-                .iter()
-                .skip(1)
-                .map(|c| c.position.distance(best.position))
-                .sum::<f64>()
-                / (self.last_matches.len() - 1) as f64;
-            Some(m)
-        } else {
-            None
-        };
-        Some(LocationEstimate { position: best.position, spread })
+        fingerprint::top_k_estimate(&self.last_matches)
     }
 
     fn posterior(&self) -> Option<Vec<(uniloc_geom::Point, f64)>> {
-        if self.last_matches.is_empty() {
-            return None;
-        }
-        // Softmax over RSSI distances relative to the best match: a
-        // candidate 3 dB worse carries ~37% of the best one's mass.
-        let d0 = self.last_matches[0].distance;
-        Some(
-            self.last_matches
-                .iter()
-                .map(|m| (m.position, (-(m.distance - d0) / 3.0).exp()))
-                .collect(),
-        )
+        fingerprint::top_k_posterior(&self.last_matches)
     }
 
     fn posterior_mean(&self) -> Option<uniloc_geom::Point> {
-        if self.last_matches.is_empty() {
-            return None;
-        }
-        let d0 = self.last_matches[0].distance;
-        let weight = |m: &crate::fingerprint::FingerprintMatch| (-(m.distance - d0) / 3.0).exp();
-        let w: f64 = self.last_matches.iter().map(weight).sum();
-        if w > 0.0 {
-            let x = self.last_matches.iter().map(|m| weight(m) * m.position.x).sum::<f64>() / w;
-            let y = self.last_matches.iter().map(|m| weight(m) * m.position.y).sum::<f64>() / w;
-            Some(uniloc_geom::Point::new(x, y))
-        } else {
-            None
-        }
+        fingerprint::top_k_posterior_mean(&self.last_matches)
     }
 }
 
@@ -163,7 +104,7 @@ mod tests {
     fn scheme_for(scenario: &campus::Scenario, seed: u64) -> WifiFingerprintScheme {
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
         let points = scenario.survey_points(3.0, 12.0);
-        WifiFingerprintScheme::new(WifiFingerprintDb::survey_wifi(&mut hub, &points))
+        WifiFingerprintScheme::new(Arc::new(WifiFingerprintDb::survey_wifi(&mut hub, &points)))
     }
 
     fn run_and_measure(
@@ -277,9 +218,13 @@ mod tests {
     #[test]
     fn min_aps_gate() {
         let scenario = venues::training_office(55);
-        let scheme = scheme_for(&scenario, 56);
-        let mut gated = scheme.with_min_aps(100); // impossible requirement
-        let results = run_and_measure(&scenario, &mut gated, DeviceProfile::nexus_5x(), 57);
-        assert!(results.iter().all(|r| r.1.is_none()));
+        let mut scheme = scheme_for(&scenario, 56);
+        let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(57));
+        let walk = walker.walk(&scenario.route);
+        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 58);
+        let mut frame = hub.sample_walk(&walk, 0.5).swap_remove(10);
+        assert!(scheme.update(&frame).is_some());
+        frame.wifi.as_mut().unwrap().readings.truncate(MIN_APS - 1);
+        assert!(scheme.update(&frame).is_none(), "2 APs are below the gate");
     }
 }

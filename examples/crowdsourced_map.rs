@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example crowdsourced_map`
 
+use std::sync::Arc;
 use uniloc_rng::Rng;
 use uniloc::env::{venues, GaitProfile, Walker};
 use uniloc::schemes::{
@@ -68,7 +69,7 @@ fn main() {
     let mut hub = SensorHub::new(&venue.world, DeviceProfile::nexus_5x(), 241);
     let frames = hub.sample_walk(&walk, 0.5);
     for (label, db) in [("crowdsourced", crowd_db), ("surveyed", surveyed)] {
-        let mut scheme = WifiFingerprintScheme::new(db).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(Arc::new(db));
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))

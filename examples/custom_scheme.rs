@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release --example custom_scheme`
 
+use std::sync::Arc;
 use uniloc_rng::Rng;
 use uniloc::core::engine::UniLocEngine;
 use uniloc::core::error_model::{train, LinearErrorModel};
@@ -34,7 +35,7 @@ struct SmoothedCellular {
 }
 
 impl SmoothedCellular {
-    fn new(db: CellFingerprintDb) -> Self {
+    fn new(db: Arc<CellFingerprintDb>) -> Self {
         SmoothedCellular { inner: CellFingerprintScheme::new(db), kalman: None, last_t: 0.0 }
     }
 }
@@ -74,7 +75,7 @@ fn main() {
     let walk = walker.walk(&venue.route);
     let mut hub = SensorHub::new(&venue.world, DeviceProfile::nexus_5x(), 84);
     let frames = hub.sample_walk(&walk, 0.5);
-    let mut probe = SmoothedCellular::new(ctx.cell_db.clone());
+    let mut probe = SmoothedCellular::new(Arc::clone(&ctx.cell_db));
     let errs: Vec<f64> = frames
         .iter()
         .filter_map(|f| probe.update(f).map(|e| e.position.distance(f.true_position)))
@@ -104,7 +105,7 @@ fn main() {
     );
 
     let mut schemes = pipeline::build_schemes(&venue, &ctx, &cfg, 90);
-    schemes.push(Box::new(SmoothedCellular::new(ctx.cell_db.clone())));
+    schemes.push(Box::new(SmoothedCellular::new(Arc::clone(&ctx.cell_db))));
     let mut engine = UniLocEngine::new(schemes, models, ctx);
     // Register the scheme's feature function (a constant model has an empty
     // feature vector; availability = a cellular scan exists indoors). With

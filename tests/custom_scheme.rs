@@ -3,6 +3,7 @@
 //! Kalman-smoothed cellular tracker — gives it an error model, and checks
 //! the engine folds it into the ensemble.
 
+use std::sync::Arc;
 use uniloc_rng::Rng;
 use uniloc::core::engine::UniLocEngine;
 use uniloc::core::error_model::{train, LinearErrorModel};
@@ -25,7 +26,7 @@ struct SmoothedCellular {
 }
 
 impl SmoothedCellular {
-    fn new(db: CellFingerprintDb) -> Self {
+    fn new(db: Arc<CellFingerprintDb>) -> Self {
         SmoothedCellular { inner: CellFingerprintScheme::new(db), kalman: None, last_t: 0.0 }
     }
 }
@@ -66,8 +67,8 @@ fn smoothing_beats_raw_cellular() {
     let venue = venues::training_office(81);
     let cfg = PipelineConfig::default();
     let ctx = pipeline::build_context(&venue, &cfg, 82);
-    let mut raw = CellFingerprintScheme::new(ctx.cell_db.clone());
-    let mut smoothed = SmoothedCellular::new(ctx.cell_db.clone());
+    let mut raw = CellFingerprintScheme::new(Arc::clone(&ctx.cell_db));
+    let mut smoothed = SmoothedCellular::new(Arc::clone(&ctx.cell_db));
 
     let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(83));
     let walk = walker.walk(&venue.route);
@@ -115,7 +116,7 @@ fn custom_scheme_joins_the_ensemble() {
     );
 
     let mut schemes = pipeline::build_schemes(&venue, &ctx, &cfg, 90);
-    schemes.push(Box::new(SmoothedCellular::new(ctx.cell_db.clone())));
+    schemes.push(Box::new(SmoothedCellular::new(Arc::clone(&ctx.cell_db))));
     let mut engine = UniLocEngine::new(schemes, models, ctx);
     assert_eq!(engine.scheme_ids().len(), 6);
     // Register the custom scheme's (empty, constant-model) feature vector:

@@ -193,7 +193,7 @@ fn empty_fingerprint_database_is_survivable() {
 
     let empty = WifiFingerprintDb::from_entries(Vec::<(Point, WifiScan)>::new());
     assert!(empty.is_empty());
-    let mut scheme = WifiFingerprintScheme::new(empty);
+    let mut scheme = WifiFingerprintScheme::new(std::sync::Arc::new(empty));
     let venue = venues::training_office(71);
     let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(72));
     let walk = walker.walk(&venue.route);
