@@ -34,6 +34,7 @@ use uniloc_obs::fleet::{FleetAggregator, FleetSnapshot, SessionMeta};
 use uniloc_obs::ObsSession;
 use uniloc_rng::split_seed;
 use uniloc_sensors::{DeviceProfile, SensorFrame};
+use uniloc_stats::describe::percentile;
 use uniloc_stats::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Load-generator parameters. Everything that shapes the fleet's *output*
@@ -202,19 +203,18 @@ pub fn spec_scenario(spec: &SessionSpec) -> Scenario {
         .unwrap_or_else(|e| panic!("spec scenario vanished: {e}"))
 }
 
-/// The spec's frame stream: the walk, truncated to `max_epochs` (when
-/// nonzero), then fault-injected when the spec names a plan — through the
-/// chaos sweep's [`inject_plan`], rooted at the spec's seed.
+/// The spec's frame stream: the walk's first `max_epochs` frames (the
+/// whole walk when 0), then fault-injected when the spec names a plan —
+/// through the chaos sweep's [`inject_plan`], rooted at the spec's seed.
+/// Frames past the limit are never synthesized.
 pub fn spec_frames(
     scenario: &Scenario,
     cfg: &PipelineConfig,
     spec: &SessionSpec,
     max_epochs: usize,
 ) -> Vec<SensorFrame> {
-    let mut frames = pipeline::walk_frames(scenario, cfg, spec.seed);
-    if max_epochs > 0 {
-        frames.truncate(max_epochs);
-    }
+    let limit = if max_epochs > 0 { max_epochs } else { usize::MAX };
+    let frames = pipeline::walk_prefix(scenario, cfg, spec.seed, limit);
     if spec.plan == "none" {
         return frames;
     }
@@ -1006,22 +1006,24 @@ pub fn run_fleet_durable(
 }
 
 /// The obs layer's measured cost: one fleet served twice per pass — obs
-/// fully on vs. [`ObsSession::stubbed`] — keeping each mode's best
-/// (fastest) pass. Wall-clock only; the records are verified byte-identical
-/// via the fleet digest before any throughput is compared.
+/// fully on vs. [`ObsSession::stubbed`] — summarized by medians over the
+/// passes. Wall-clock only; the records are verified byte-identical via
+/// the fleet digest before any throughput is compared.
 pub struct ObsOverhead {
-    /// Best epochs/s with isolated (full) observability.
+    /// Median epochs/s with isolated (full) observability.
     pub epochs_per_sec_obs: f64,
-    /// Best epochs/s with stubbed observability.
+    /// Median epochs/s with stubbed observability.
     pub epochs_per_sec_stub: f64,
-    /// Fractional throughput cost of the obs layer:
-    /// `(stub - obs) / stub`. Negative means noise favored the obs run.
+    /// Median over the passes of each pass's paired throughput cost,
+    /// `(stub - obs) / stub`. Negative means noise favored the obs runs.
     pub overhead_frac: f64,
 }
 
 /// Measures the obs layer's throughput cost over `passes` paired runs of
-/// the configured fleet (see [`ObsOverhead`]). Best-of-N per mode bounds
-/// scheduler noise; both modes must serve byte-identical fleets.
+/// the configured fleet (see [`ObsOverhead`]). Each pass serves both modes
+/// back to back, alternating which goes first, and yields one paired
+/// overhead; the median pass bounds scheduler noise without letting one
+/// lucky run decide. Both modes must serve byte-identical fleets.
 ///
 /// # Errors
 ///
@@ -1045,11 +1047,17 @@ pub fn measure_obs_overhead(
         let secs = stats.run_ns as f64 / 1e9;
         if secs > 0.0 { stats.epochs as f64 / secs } else { 0.0 }
     };
-    let mut best_obs: f64 = 0.0;
-    let mut best_stub: f64 = 0.0;
-    for pass in 0..passes.max(1) {
-        let on = run_fleet(models, base, &FleetConfig { obs_stub: false, ..cfg.clone() })?;
-        let off = run_fleet(models, base, &FleetConfig { obs_stub: true, ..cfg.clone() })?;
+    let serve = |obs_stub: bool| run_fleet(models, base, &FleetConfig { obs_stub, ..cfg.clone() });
+    let passes = passes.max(1);
+    let (mut obs_eps, mut stub_eps, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    for pass in 0..passes {
+        let (on, off) = if pass % 2 == 0 {
+            let on = serve(false)?;
+            (on, serve(true)?)
+        } else {
+            let off = serve(true)?;
+            (serve(false)?, off)
+        };
         if digest_of(&on.report) != digest_of(&off.report) {
             return Err(
                 "obs-stubbed fleet served different records than the obs-on fleet \
@@ -1057,22 +1065,20 @@ pub fn measure_obs_overhead(
                     .to_owned(),
             );
         }
-        best_obs = best_obs.max(eps(&on.stats));
-        best_stub = best_stub.max(eps(&off.stats));
+        let (obs, stub) = (eps(&on.stats), eps(&off.stats));
         uniloc_obs::info!(
-            "obs-overhead pass {}/{}: obs {:.0} epochs/s, stub {:.0} epochs/s",
-            pass + 1,
-            passes.max(1),
-            eps(&on.stats),
-            eps(&off.stats)
+            "obs-overhead pass {}/{passes}: obs {obs:.0} epochs/s, stub {stub:.0} epochs/s",
+            pass + 1
         );
+        obs_eps.push(obs);
+        stub_eps.push(stub);
+        overheads.push(if stub > 0.0 { (stub - obs) / stub } else { 0.0 });
     }
-    let overhead_frac =
-        if best_stub > 0.0 { (best_stub - best_obs) / best_stub } else { 0.0 };
+    let median = |xs: &[f64]| percentile(xs, 50.0).map_err(|e| format!("obs overhead: {e}"));
     Ok(ObsOverhead {
-        epochs_per_sec_obs: best_obs,
-        epochs_per_sec_stub: best_stub,
-        overhead_frac,
+        epochs_per_sec_obs: median(&obs_eps)?,
+        epochs_per_sec_stub: median(&stub_eps)?,
+        overhead_frac: median(&overheads)?,
     })
 }
 

@@ -651,8 +651,8 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
 /// p99 epoch latency) for the `bench-diff` gate. `--obs-stub` swaps every
 /// session's observability for the sink configuration (no aggregation
 /// artifacts), and `--obs-overhead` runs the paired obs-on/obs-stub bench
-/// and fails if the epochs/s cost exceeds `--overhead-budget` (default
-/// 5%). `--strict` fails on any resilience violation (a non-finite fused
+/// and fails if the median of `--overhead-passes` (default 2) paired
+/// epochs/s costs exceeds `--overhead-budget` (default 5%). `--strict` fails on any resilience violation (a non-finite fused
 /// estimate, or a clean walker that got quarantined).
 ///
 /// Crash safety: `--checkpoint-every N` cuts a durable fleet checkpoint

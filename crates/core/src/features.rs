@@ -22,7 +22,7 @@
 //! During training, ground truth is used (Section III-B: "during the
 //! training phase, we know the user's true location").
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use uniloc_filters::{Hmm2Predictor, Kalman2D};
 use uniloc_geom::{FloorPlan, Point};
@@ -153,12 +153,7 @@ impl FeatureExtractor {
                 // any tower is audible), so the predicted location can
                 // actually *be* there and the WiFi-density feature
                 // correctly reports sparsity.
-                let mut states: Vec<Point> = ctx.wifi_db.positions().collect();
-                for p in ctx.cell_db.positions() {
-                    if states.iter().all(|q| q.distance(p) > 0.5) {
-                        states.push(p);
-                    }
-                }
+                let states = hmm_state_union(ctx.wifi_db.positions(), ctx.cell_db.positions());
                 Predictor::Hmm2(Hmm2Predictor::new(states, 2.5, 5.0).ok())
             }
             PredictorKind::Kalman => Predictor::Kalman(None),
@@ -379,6 +374,70 @@ impl FeatureExtractor {
     }
 }
 
+/// A cellular fingerprint within this distance (m) of an HMM state merges
+/// into it instead of adding a state.
+const STATE_MERGE_M: f64 = 0.5;
+
+/// Largest coordinate magnitude (m) the HMM state-union grid indexes.
+/// Past it, or at any non-finite coordinate, every state shares one cell:
+/// the union degenerates to the plain linear scan, NaN semantics and all.
+const STATE_GRID_LIMIT_M: f64 = 1e9;
+
+/// The HMM's hidden states: every WiFi fingerprint position in order, then
+/// each cellular position farther than [`STATE_MERGE_M`] from every state
+/// kept so far (a NaN distance is never farther).
+///
+/// States sit in a 1 m hash grid. A state within 0.5 m of a candidate lies
+/// in the candidate's cell or one of its eight neighbours, so only those
+/// are tested, with the linear scan's exact predicate; whether a candidate
+/// is kept does not depend on the order its neighbours are tested in.
+fn hmm_state_union(
+    wifi: impl IntoIterator<Item = Point>,
+    cell: impl IntoIterator<Item = Point>,
+) -> Vec<Point> {
+    let mut states: Vec<Point> = wifi.into_iter().collect();
+    let cell: Vec<Point> = cell.into_iter().collect();
+    let gridded = states
+        .iter()
+        .chain(&cell)
+        .all(|p| p.x.abs() <= STATE_GRID_LIMIT_M && p.y.abs() <= STATE_GRID_LIMIT_M);
+    let key = |p: Point| {
+        if gridded {
+            (p.x.floor() as i64, p.y.floor() as i64)
+        } else {
+            (0, 0)
+        }
+    };
+    // Each cell chains its states newest first: `head` maps a cell to its
+    // newest state, `next[i]` links state `i` to the one before it.
+    let mut head: HashMap<(i64, i64), usize> = HashMap::with_capacity(states.len() + cell.len());
+    let mut next: Vec<Option<usize>> = Vec::with_capacity(states.len() + cell.len());
+    for (i, &p) in states.iter().enumerate() {
+        next.push(head.insert(key(p), i));
+    }
+    for p in cell {
+        let (cx, cy) = key(p);
+        let far = (cx - 1..=cx + 1).all(|x| {
+            (cy - 1..=cy + 1).all(|y| {
+                let mut link = head.get(&(x, y)).copied();
+                while let Some(i) = link {
+                    if states[i].distance(p) > STATE_MERGE_M {
+                        link = next[i];
+                    } else {
+                        return false;
+                    }
+                }
+                true
+            })
+        });
+        if far {
+            next.push(head.insert((cx, cy), states.len()));
+            states.push(p);
+        }
+    }
+    states
+}
+
 /// Standard deviation of the top-k candidate RSSI distances — the paper's
 /// `beta_2`: "if the deviation is small, the fingerprints at these
 /// locations are more similar, and in turn the estimated location is more
@@ -574,6 +633,140 @@ mod tests {
         let p = Point::new(12.345, 6.789);
         fx.note_estimate(p);
         assert_eq!(fx.predicted_location(), Some(p));
+    }
+
+    /// The reference state union, a linear scan: every WiFi position, then
+    /// each cellular position farther than 0.5 m from every state so far.
+    /// The grid-indexed [`hmm_state_union`] must reproduce it exactly.
+    fn linear_state_union(wifi: &[Point], cell: &[Point]) -> Vec<Point> {
+        let mut states = wifi.to_vec();
+        for &p in cell {
+            if states.iter().all(|q| q.distance(p) > 0.5) {
+                states.push(p);
+            }
+        }
+        states
+    }
+
+    /// Bit patterns, so NaN states compare equal to themselves.
+    fn bits(states: &[Point]) -> Vec<(u64, u64)> {
+        states.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    /// One coordinate of a random survey: mostly near the origin, so cells
+    /// collide, often on a cell boundary, sometimes extreme.
+    fn coordinate(rng: &mut Rng, scale: f64) -> f64 {
+        let span = 1.0 + 8.0 * scale;
+        match rng.gen_range(0..20u32) {
+            0..=9 => rng.gen_range(-span..span),
+            10..=14 => rng.gen_range(0..16u32) as f64 * 0.5 - 4.0,
+            15 => f64::NAN,
+            16 => f64::INFINITY,
+            17 => f64::NEG_INFINITY,
+            18 => 1e12 * rng.gen_range(-1.0..1.0),
+            _ => STATE_GRID_LIMIT_M,
+        }
+    }
+
+    /// A random survey point: fresh, an exact duplicate of an earlier
+    /// point, or an earlier point moved 0.5 m (± 1 ulp) along an axis.
+    fn survey_point(rng: &mut Rng, scale: f64, earlier: &[Point], extreme: bool) -> Point {
+        let fresh = |rng: &mut Rng| loop {
+            let p = Point::new(coordinate(rng, scale), coordinate(rng, scale));
+            if extreme || (p.x.abs() < 100.0 && p.y.abs() < 100.0) {
+                return p;
+            }
+        };
+        if earlier.is_empty() {
+            return fresh(rng);
+        }
+        let q = earlier[rng.gen_range(0..earlier.len())];
+        match rng.gen_range(0..4u32) {
+            0 => q,
+            1 => {
+                let along_x = rng.gen_bool(0.5);
+                let nudge = match rng.gen_range(0..3u32) {
+                    0 => f64::next_down,
+                    1 => std::convert::identity,
+                    _ => f64::next_up,
+                };
+                if along_x {
+                    Point::new(nudge(q.x + 0.5), q.y)
+                } else {
+                    Point::new(q.x, nudge(q.y - 0.5))
+                }
+            }
+            _ => fresh(rng),
+        }
+    }
+
+    #[test]
+    fn grid_state_union_matches_the_linear_scan() {
+        uniloc_rng::check::Checker::new("grid_state_union_matches_the_linear_scan").cases(512).run(
+            |rng, scale| {
+                // A third of the cases may hold non-finite or huge
+                // coordinates (the linear fallback); the rest stay
+                // on the grid.
+                let extreme = rng.gen_bool(1.0 / 3.0);
+                let max = 2 + (scale * 60.0) as usize;
+                let n_wifi = if rng.gen_bool(0.2) { 0 } else { rng.gen_range(1..max + 1) };
+                let n_cell = rng.gen_range(0..max + 1);
+                let mut points = Vec::with_capacity(n_wifi + n_cell);
+                for _ in 0..n_wifi + n_cell {
+                    let p = survey_point(rng, scale, &points, extreme);
+                    points.push(p);
+                }
+                let cell = points.split_off(n_wifi);
+                (points, cell)
+            },
+            |(wifi, cell)| {
+                let grid = hmm_state_union(wifi.iter().copied(), cell.iter().copied());
+                uniloc_rng::require_eq!(bits(&grid), bits(&linear_state_union(wifi, cell)));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn state_union_boundary_cases() {
+        let p = Point::new(2.0, -3.0);
+        let at = |x: f64| Point::new(x, -3.0);
+        // Exactly 0.5 m merges; one ulp farther is a new state.
+        assert_eq!(hmm_state_union([p], [at(2.5)]), vec![p]);
+        assert_eq!(hmm_state_union([p], [at(2.5f64.next_up())]), vec![p, at(2.5f64.next_up())]);
+        // Exact duplicates merge, across the two surveys and within the
+        // cellular one; WiFi duplicates are all kept.
+        assert_eq!(hmm_state_union([p, p], [p, at(9.0), at(9.0)]), vec![p, p, at(9.0)]);
+        // An empty WiFi survey: the cellular positions dedupe alone.
+        assert_eq!(hmm_state_union([], [p, at(2.25), at(3.0)]), vec![p, at(3.0)]);
+        // Any NaN distance rejects: a NaN state blocks every later point,
+        // and a NaN point joins only an empty union.
+        let nan = Point::new(f64::NAN, 0.0);
+        assert_eq!(bits(&hmm_state_union([], [nan, p])), bits(&[nan]));
+        assert_eq!(hmm_state_union([p], [nan]), vec![p]);
+        // Infinite and huge points fall back to the linear scan.
+        let inf = Point::new(f64::INFINITY, 1.0);
+        assert_eq!(hmm_state_union([p], [inf, p]), linear_state_union(&[p], &[inf, p]));
+        let huge = Point::new(1e300, 1e300);
+        assert_eq!(hmm_state_union([huge], [huge, p]), vec![huge, p]);
+    }
+
+    /// The real venues' radio maps, as sessions survey them: the grid
+    /// union reproduces the linear one state for state.
+    #[test]
+    fn state_union_matches_the_linear_scan_on_every_venue() {
+        let mut scenarios = campus::all_paths(3);
+        scenarios.push(uniloc_env::venues::shopping_mall(4, 1).swap_remove(0));
+        scenarios.push(uniloc_env::venues::urban_open_space(5, 1).swap_remove(0));
+        scenarios.push(uniloc_env::venues::office("office", 6, 50.0, 18.0));
+        let cfg = crate::pipeline::PipelineConfig::default();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let ctx = crate::pipeline::build_context(scenario, &cfg, 40 + i as u64);
+            let wifi: Vec<Point> = ctx.wifi_db.positions().collect();
+            let cell: Vec<Point> = ctx.cell_db.positions().collect();
+            let grid = hmm_state_union(wifi.iter().copied(), cell.iter().copied());
+            assert_eq!(grid, linear_state_union(&wifi, &cell), "{}", scenario.name);
+        }
     }
 
     #[test]

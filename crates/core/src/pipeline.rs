@@ -344,11 +344,23 @@ pub fn walk_frames(
     cfg: &PipelineConfig,
     seed: u64,
 ) -> Vec<uniloc_sensors::SensorFrame> {
+    walk_prefix(scenario, cfg, seed, usize::MAX)
+}
+
+/// The first `limit` frames of [`walk_frames`], without synthesizing the
+/// rest: the hub samples frame by frame from one sequential RNG stream,
+/// so the prefix is bit-identical to the whole walk truncated.
+pub fn walk_prefix(
+    scenario: &Scenario,
+    cfg: &PipelineConfig,
+    seed: u64,
+    limit: usize,
+) -> Vec<uniloc_sensors::SensorFrame> {
     assert_valid(cfg);
     let mut walker = Walker::new(cfg.gait.clone(), Rng::seed_from_u64(seed + 3));
     let walk = walker.walk(&scenario.route);
     let mut hub = SensorHub::new(&scenario.world, cfg.device, seed + 4);
-    hub.sample_walk(&walk, cfg.epoch_interval)
+    hub.frames(&walk, cfg.epoch_interval).take(limit).collect()
 }
 
 /// Walks a scenario with trained models and records everything Section V

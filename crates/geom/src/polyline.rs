@@ -92,13 +92,20 @@ impl Polyline {
         self.vertices.windows(2).map(|w| Segment::new(w[0], w[1]))
     }
 
+    /// Index of the segment holding station `s`: the last vertex whose
+    /// station is at most `s`. Total over every `s` — a NaN station sorts
+    /// past either end, and `-0.0` lands on the first vertex like `0.0`.
+    fn segment_index(&self, s: f64) -> usize {
+        match self.cum.binary_search_by(|c| c.total_cmp(&s)) {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
+        }
+    }
+
     /// Position at station `s` (clamped to `[0, length]`).
     pub fn point_at(&self, s: f64) -> Point {
         let s = s.clamp(0.0, self.length());
-        let i = match self.cum.binary_search_by(|c| c.partial_cmp(&s).expect("finite")) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        let i = self.segment_index(s);
         if i >= self.vertices.len() - 1 {
             return self.end();
         }
@@ -110,11 +117,7 @@ impl Polyline {
     /// Unit tangent direction at station `s` (direction of travel).
     pub fn direction_at(&self, s: f64) -> Vector2 {
         let s = s.clamp(0.0, self.length());
-        let i = match self.cum.binary_search_by(|c| c.partial_cmp(&s).expect("finite")) {
-            Ok(i) => i.min(self.vertices.len() - 2),
-            Err(i) => i - 1,
-        };
-        let i = i.min(self.vertices.len() - 2);
+        let i = self.segment_index(s).min(self.vertices.len() - 2);
         (self.vertices[i + 1] - self.vertices[i])
             .normalized()
             .expect("polyline segments have positive length")
@@ -235,6 +238,25 @@ mod tests {
         // Clamping.
         assert_eq!(p.point_at(-3.0), p.start());
         assert_eq!(p.point_at(99.0), p.end());
+    }
+
+    #[test]
+    fn non_finite_stations_return_points_without_panicking() {
+        let p = l_path();
+        assert_eq!(p.point_at(f64::INFINITY), p.end());
+        assert_eq!(p.point_at(f64::NEG_INFINITY), p.start());
+        assert_eq!(p.point_at(-0.0), p.start());
+        assert_eq!(p.point_at(f64::NAN), p.end());
+        // A negative NaN sorts before the first vertex and interpolates
+        // to NaN there, but never panics.
+        assert!(p.point_at(-f64::NAN).x.is_nan());
+        let east = Vector2::new(1.0, 0.0);
+        let north = Vector2::new(0.0, 1.0);
+        assert_eq!(p.direction_at(f64::INFINITY), north);
+        assert_eq!(p.direction_at(f64::NEG_INFINITY), east);
+        assert_eq!(p.direction_at(-0.0), east);
+        assert_eq!(p.direction_at(f64::NAN), north);
+        assert_eq!(p.direction_at(-f64::NAN), east);
     }
 
     #[test]

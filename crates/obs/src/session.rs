@@ -69,10 +69,10 @@ pub struct ObsSession {
     /// the dispatcher's subscriber — `None` means events are dropped
     /// (worker progress output would interleave nondeterministically).
     pub subscriber: Option<Arc<dyn Subscriber>>,
-    /// Span-timing override: `Some(false)` turns `span.*` duration
-    /// recording off for this session only (the obs-stub mode), `Some(true)`
-    /// forces it on, `None` defers to the dispatcher's process-wide flag.
-    pub span_timings: Option<bool>,
+    /// Span-timing switch: `false` turns `span.*` duration recording off
+    /// while this session is installed (the obs-stub mode). Threads with no
+    /// session installed always time their spans.
+    pub span_timings: bool,
     /// Opt-in for span-attributed allocation tracking (see
     /// [`crate::alloc`]): while this session is installed, timed spans
     /// open attribution frames and flush `alloc.*` counters into the
@@ -131,7 +131,7 @@ impl ObsSession {
             subscriber: Some(Arc::clone(&flight) as Arc<dyn Subscriber>),
             flight,
             clock: Some(Arc::new(VirtualClock::new())),
-            span_timings: None,
+            span_timings: true,
             alloc_tracking: false,
             flight_buf,
         }
@@ -156,7 +156,7 @@ impl ObsSession {
             subscriber: None,
             flight,
             clock: Some(Arc::new(VirtualClock::new())),
-            span_timings: Some(false),
+            span_timings: false,
             alloc_tracking: false,
             flight_buf: Arc::new(Mutex::new(Vec::new())),
         }

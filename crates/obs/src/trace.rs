@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::clock::{Clock, MonotonicClock};
@@ -379,7 +379,6 @@ fn threshold(level: Option<TraceLevel>) -> u8 {
 /// filtered by level, timestamped by the installed clock.
 pub struct Dispatcher {
     level: AtomicU8,
-    span_timings: AtomicBool,
     subscriber: RwLock<Option<Arc<dyn Subscriber>>>,
     clock: RwLock<Arc<dyn Clock>>,
 }
@@ -388,7 +387,6 @@ impl Dispatcher {
     fn new() -> Self {
         Dispatcher {
             level: AtomicU8::new(threshold(Some(TraceLevel::Info))),
-            span_timings: AtomicBool::new(true),
             subscriber: RwLock::new(None),
             clock: RwLock::new(Arc::new(MonotonicClock::new())),
         }
@@ -432,24 +430,12 @@ impl Dispatcher {
         (level as u8) < self.level.load(Ordering::Relaxed) && self.active_subscriber().is_some()
     }
 
-    /// Enables/disables recording span durations into the global metrics
-    /// registry (`span.<name>` histograms). On by default.
-    pub fn set_span_timings(&self, on: bool) {
-        self.span_timings.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether spans should currently record duration samples: the current
-    /// thread's [`ObsSession`](crate::session::ObsSession) override when it
-    /// sets one (the obs-stub mode turns timing off per session without
-    /// racing other threads on the process-wide flag), otherwise the
-    /// process-wide setting.
+    /// Whether spans should currently record duration samples: always,
+    /// unless the current thread's [`ObsSession`](crate::session::ObsSession)
+    /// switches timing off (the obs-stub mode). There is no process-wide
+    /// switch, so no thread can turn timing off under another.
     fn span_timings_enabled(&self) -> bool {
-        if let Some(session) = crate::session::current() {
-            if let Some(on) = session.span_timings {
-                return on;
-            }
-        }
-        self.span_timings.load(Ordering::Relaxed)
+        crate::session::current().is_none_or(|session| session.span_timings)
     }
 
     /// Installs the clock used to timestamp events and measure spans.
@@ -749,46 +735,33 @@ mod tests {
     }
 
     #[test]
-    fn session_span_timings_override_beats_global_flag() {
+    fn session_span_timings_switch_is_session_scoped() {
         use crate::session::ObsSession;
-        // Global flag ON (the default), session override OFF: no sample.
+        // A session with timing off records no sample...
         let mut session = ObsSession::isolated();
-        session.span_timings = Some(false);
+        session.span_timings = false;
         let off = Arc::new(session);
         {
             let _g = crate::session::install(Arc::clone(&off));
-            let _s = global().span("obs.test.override_off");
+            let _s = global().span("obs.test.switch_off");
+            assert!(!global().span_timings_enabled());
         }
-        assert_eq!(span_samples(&off.capture().metrics, "obs.test.override_off"), 0);
+        assert_eq!(span_samples(&off.capture().metrics, "obs.test.switch_off"), 0);
 
-        // Session override ON records into the session even while the
-        // process-wide flag is OFF: `Some(true)` wins over the global.
-        global().set_span_timings(false);
-        let mut session = ObsSession::isolated();
-        session.span_timings = Some(true);
-        let on = Arc::new(session);
+        // ...while a default isolated session times into its own registry.
+        let on = Arc::new(ObsSession::isolated());
+        assert!(on.span_timings);
         {
             let _g = crate::session::install(Arc::clone(&on));
-            let _s = global().span("obs.test.override_on");
+            let _s = global().span("obs.test.switch_on");
         }
-        global().set_span_timings(true);
-        assert_eq!(span_samples(&on.capture().metrics, "obs.test.override_on"), 1);
+        assert_eq!(span_samples(&on.capture().metrics, "obs.test.switch_on"), 1);
     }
 
     #[test]
-    fn session_none_defers_to_global_and_guard_restores_on_drop() {
+    fn timing_returns_to_the_process_registry_when_the_guard_drops() {
         use crate::session::ObsSession;
-        // `span_timings: None` (the isolated default) defers to the
-        // process-wide flag in both positions.
-        let defer = Arc::new(ObsSession::isolated());
-        assert_eq!(defer.span_timings, None);
-        {
-            let _g = crate::session::install(Arc::clone(&defer));
-            let _s = global().span("obs.test.defer_global_on");
-        }
-        assert_eq!(span_samples(&defer.capture().metrics, "obs.test.defer_global_on"), 1);
-
-        // Once the install guard drops, the session's override stops
+        // Once the install guard drops, the session's switch stops
         // applying: timing lands in the process registry again.
         let stub = Arc::new(ObsSession::stubbed());
         {
@@ -800,10 +773,7 @@ mod tests {
             let _s = global().span(name);
         }
         let process = global_metrics().snapshot();
-        assert!(
-            span_samples(&process, name) >= 1,
-            "global flag applies again after the session guard drops"
-        );
+        assert!(span_samples(&process, name) >= 1, "timing applies again after the guard drops");
         assert!(
             !process
                 .histograms
@@ -816,20 +786,18 @@ mod tests {
     #[test]
     fn stubbed_session_suppresses_timing_without_racing_global_state() {
         use crate::session::ObsSession;
-        // A stubbed session turns timing off per-session while the
-        // process-wide flag stays untouched — the obs-stub mode's whole
-        // point (no cross-thread races on the global flag).
+        // A stubbed session turns timing off for its own thread only: a
+        // sibling thread with no session installed keeps timing spans.
         let stub = Arc::new(ObsSession::stubbed());
-        assert_eq!(stub.span_timings, Some(false));
+        assert!(!stub.span_timings);
         {
             let _g = crate::session::install(Arc::clone(&stub));
             let _s = global().span("obs.test.stub_span");
             assert!(!global().span_timings_enabled());
+            let sibling = std::thread::spawn(|| global().span_timings_enabled());
+            assert!(sibling.join().expect("sibling thread"), "the stub is thread-local");
         }
-        assert!(
-            global().span_timings.load(Ordering::Relaxed),
-            "process-wide flag unchanged by the stubbed session"
-        );
+        assert!(global().span_timings_enabled(), "timing is back on after the guard drops");
         assert_eq!(stub.capture(), crate::session::SessionCapture::default());
     }
 

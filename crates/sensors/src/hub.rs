@@ -239,49 +239,88 @@ impl<'w> SensorHub<'w> {
         }
     }
 
-    /// Samples a whole walk into frames every `interval` seconds.
+    /// Samples a whole walk into frames every `interval` seconds: the
+    /// [`frames`](Self::frames) iterator, collected.
     ///
     /// # Panics
     ///
     /// Panics if `interval <= 0`.
     pub fn sample_walk(&mut self, walk: &Trajectory, interval: f64) -> Vec<SensorFrame> {
+        self.frames(walk, interval).collect()
+    }
+
+    /// Samples a walk lazily, one frame every `interval` seconds, the last
+    /// one at the walk's end. Each frame draws from the hub's RNG only
+    /// when it is pulled, so the first `n` frames are the same whether or
+    /// not the rest of the walk is ever sampled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval <= 0`.
+    pub fn frames<'a>(&'a mut self, walk: &'a Trajectory, interval: f64) -> WalkFrames<'a, 'w> {
         assert!(interval > 0.0, "sampling interval must be positive");
-        let duration = walk.duration();
-        let mut frames = Vec::new();
-        let mut step_idx = 0usize;
-        let steps = walk.steps();
-        let mut t = interval;
-        while t <= duration + interval {
-            let epoch_t = t.min(duration);
-            let p = walk.position_at(epoch_t);
-            let mut epoch_steps = Vec::new();
-            while step_idx < steps.len() && steps[step_idx].t <= epoch_t {
-                epoch_steps.push(self.measure_step(&steps[step_idx]));
-                step_idx += 1;
-            }
-            frames.push(SensorFrame {
-                t: epoch_t,
-                true_position: p,
-                wifi: self.wifi_enabled.then(|| self.scan_wifi(p)),
-                cell: self.cell_enabled.then(|| self.scan_cell(p)),
-                gps: if self.gps_enabled { self.gps_fix(p) } else { None },
-                steps: epoch_steps,
-                landmark: self.observe_landmark(p),
-                light_lux: self.light(p),
-                magnetic_variance: self.magnetic_variance(p),
-            });
-            if epoch_t >= duration {
-                break;
-            }
-            t += interval;
+        WalkFrames {
+            hub: self,
+            walk,
+            interval,
+            duration: walk.duration(),
+            t: interval,
+            step_idx: 0,
         }
-        frames
     }
 
     fn gauss(&mut self) -> f64 {
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+}
+
+/// The frames of one walk, sampled on demand: see [`SensorHub::frames`].
+#[derive(Debug)]
+pub struct WalkFrames<'a, 'w> {
+    hub: &'a mut SensorHub<'w>,
+    walk: &'a Trajectory,
+    interval: f64,
+    duration: f64,
+    /// Time of the next frame; `INFINITY` once the walk's end is sampled.
+    t: f64,
+    step_idx: usize,
+}
+
+impl Iterator for WalkFrames<'_, '_> {
+    type Item = SensorFrame;
+
+    fn next(&mut self) -> Option<SensorFrame> {
+        (self.t <= self.duration + self.interval).then(|| self.sample())
+    }
+}
+
+impl WalkFrames<'_, '_> {
+    /// Samples the frame at `self.t` and advances to the next epoch.
+    fn sample(&mut self) -> SensorFrame {
+        let hub = &mut *self.hub;
+        let epoch_t = self.t.min(self.duration);
+        let p = self.walk.position_at(epoch_t);
+        let steps = self.walk.steps();
+        let mut epoch_steps = Vec::new();
+        while self.step_idx < steps.len() && steps[self.step_idx].t <= epoch_t {
+            epoch_steps.push(hub.measure_step(&steps[self.step_idx]));
+            self.step_idx += 1;
+        }
+        let frame = SensorFrame {
+            t: epoch_t,
+            true_position: p,
+            wifi: hub.wifi_enabled.then(|| hub.scan_wifi(p)),
+            cell: hub.cell_enabled.then(|| hub.scan_cell(p)),
+            gps: if hub.gps_enabled { hub.gps_fix(p) } else { None },
+            steps: epoch_steps,
+            landmark: hub.observe_landmark(p),
+            light_lux: hub.light(p),
+            magnetic_variance: hub.magnetic_variance(p),
+        };
+        self.t = if epoch_t >= self.duration { f64::INFINITY } else { self.t + self.interval };
+        frame
     }
 }
 
@@ -466,6 +505,20 @@ mod tests {
         let f1 = hub1.sample_walk(&walk1, 0.5);
         let f2 = hub2.sample_walk(&walk2, 0.5);
         assert_eq!(f1, f2, "same seeds must reproduce identical frames");
+    }
+
+    #[test]
+    fn frame_prefix_matches_the_whole_walk() {
+        let (scenario, walk, whole) = path_frames(15);
+        for n in [0, 1, 7, whole.len() - 1, whole.len(), whole.len() + 5] {
+            let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 17);
+            let prefix: Vec<SensorFrame> = hub.frames(&walk, 0.5).take(n).collect();
+            assert_eq!(prefix, whole[..n.min(whole.len())], "prefix of {n} frames");
+        }
+        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 17);
+        let mut frames = hub.frames(&walk, 0.5);
+        assert_eq!(frames.by_ref().count(), whole.len());
+        assert!(frames.next().is_none(), "the iterator stays exhausted");
     }
 
     #[test]

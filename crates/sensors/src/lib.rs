@@ -11,8 +11,8 @@
 //!   smartphones" reports).
 //! * [`accel`] — 50 Hz accelerometer-trace synthesis, step detection, and
 //!   the paper's 0.4–0.7 s step-period compensation mechanism.
-//! * [`hub`] — the [`SensorHub`] samples a whole walk into per-epoch
-//!   [`SensorFrame`]s, evolving IMU heading drift along the way.
+//! * [`hub`] — the [`SensorHub`] samples a walk into per-epoch
+//!   [`SensorFrame`]s, lazily, evolving IMU heading drift along the way.
 //! * [`calibrate`] — online RSSI offset calibration between heterogeneous
 //!   devices ("we transfer their RSSI readings [...] by an online-learned
 //!   offset").
@@ -46,5 +46,5 @@ pub mod scans;
 pub use accel::{detect_steps, synthesize_accel_trace, AccelSample, DetectedStep};
 pub use calibrate::RssiCalibration;
 pub use device::{DeviceModel, DeviceProfile};
-pub use hub::{LandmarkObservation, SensorFrame, SensorHub, StepMeasurement};
+pub use hub::{LandmarkObservation, SensorFrame, SensorHub, StepMeasurement, WalkFrames};
 pub use scans::{merge_distance, CellScan, GpsFix, WifiScan};

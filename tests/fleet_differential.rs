@@ -11,9 +11,13 @@ use std::sync::Arc;
 use uniloc::core::error_model::{train, ErrorModelSet};
 use uniloc::core::fleet::{FleetScheduler, FinishedSession};
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
-use uniloc::env::venues;
+use uniloc::env::{venues, GaitProfile};
+use uniloc::faults::FaultPlan;
 use uniloc::obs::session as obs_session;
 use uniloc::obs::ObsSession;
+use uniloc::rng::check::Checker;
+use uniloc::rng::require;
+use uniloc_bench::chaos::inject_plan;
 use uniloc_bench::fleet::{
     build_session, fleet_specs, records_digest, restore_session, solo_records, spec_frames,
     spec_pipeline_config, spec_scenario, FleetConfig, SessionSpec,
@@ -298,34 +302,82 @@ fn checkpoint_restore_resumes_byte_identically() {
     }
 }
 
-/// The fleet session's frame stream really is the legacy stream: same
-/// walk, same truncation, same chaos-seed discipline — so the
-/// differential above compares like with like.
+/// Every venue `scenario_by_name` knows (`daily` aliases `path1`).
+const VENUES: [&str; 11] = [
+    "path1",
+    "path2",
+    "path3",
+    "path4",
+    "path5",
+    "path6",
+    "path7",
+    "path8",
+    "mall",
+    "open-space",
+    "office",
+];
+
+/// The fleet session's frame stream really is the legacy stream — the
+/// whole walk synthesized, truncated to the limit, then fault-injected —
+/// so the differential above compares like with like, although
+/// `spec_frames` never synthesizes past the limit. Every venue, device
+/// and clean/chaos combination, at limits 1, the walk length, past it
+/// and 0 (no limit), over random seeds, personas and fault plans.
 #[test]
 fn spec_frames_match_legacy_walk_frames() {
-    let cfg = FleetConfig {
-        seed: 47,
-        sessions: 4,
-        scenario_names: vec!["office".to_owned()],
-        jobs: 0,
-        resident: 0,
-        max_epochs: 15,
-        chaos_every: 0,
-        obs_stub: false,
-        shards: 0,
-        top_k: 0,
-        panic_lane: None,
-        panic_epoch: 0,
-    };
     let base = PipelineConfig::default();
-    for spec in fleet_specs(&cfg).unwrap() {
-        let scenario = spec_scenario(&spec);
-        let pcfg = spec_pipeline_config(&base, &spec);
-        let frames = spec_frames(&scenario, &pcfg, &spec, cfg.max_epochs);
-        let mut legacy = pipeline::walk_frames(&scenario, &pcfg, spec.seed);
-        legacy.truncate(cfg.max_epochs);
-        assert_eq!(frames, legacy);
-        assert!(frames.len() <= cfg.max_epochs);
+    let personas = GaitProfile::personas();
+    let plans = FaultPlan::library();
+    for venue in VENUES {
+        for device in ["nexus5x", "lgg3"] {
+            for chaos in [false, true] {
+                let name = format!("spec_frames_prefix/{venue}/{device}/chaos={chaos}");
+                Checker::new(&name).cases(2).run(
+                    |rng, _| {
+                        let persona = personas[rng.gen_range(0..personas.len())].name.clone();
+                        let plan = if chaos {
+                            plans[rng.gen_range(0..plans.len())].name.clone()
+                        } else {
+                            "none".to_owned()
+                        };
+                        SessionSpec {
+                            lane: 0,
+                            name: format!("{venue}-{persona}"),
+                            scenario: venue.to_owned(),
+                            persona,
+                            device: device.to_owned(),
+                            plan,
+                            seed: rng.next_u64(),
+                        }
+                    },
+                    |spec| {
+                        let scenario = spec_scenario(spec);
+                        let pcfg = spec_pipeline_config(&base, spec);
+                        let walk = pipeline::walk_frames(&scenario, &pcfg, spec.seed);
+                        for limit in [1, walk.len(), walk.len() + 7, 0] {
+                            let mut legacy = walk.clone();
+                            if limit > 0 {
+                                legacy.truncate(limit);
+                            }
+                            if chaos {
+                                let plan = FaultPlan::by_name(&spec.plan).expect("library plan");
+                                legacy = inject_plan(plan, spec.seed, &scenario, &legacy).0;
+                            }
+                            let frames = spec_frames(&scenario, &pcfg, spec, limit);
+                            // Debug prints every float exactly, and a NaN
+                            // a fault plan injected equal to itself.
+                            require!(
+                                format!("{frames:?}") == format!("{legacy:?}"),
+                                "limit {limit}: {} frames differ from the legacy {}",
+                                frames.len(),
+                                legacy.len()
+                            );
+                        }
+                        Ok(())
+                    },
+                );
+            }
+        }
     }
 }
 
