@@ -150,9 +150,10 @@ struct EpochScratch {
     nonfinite: Vec<bool>,
     /// Predictions of available, participating schemes (adaptive tau).
     usable: Vec<ErrorPrediction>,
-    /// Non-GPS `(id, has_features)` pairs, index-aligned with `feats`.
-    prelim: Vec<(SchemeId, bool)>,
-    /// Non-GPS feature vectors, index-aligned with `prelim`.
+    /// Per-scheme error predictions of this epoch, index-aligned with the
+    /// engine's schemes.
+    predictions: Vec<Option<ErrorPrediction>>,
+    /// Non-GPS feature vectors, in scheme order.
     feats: Vec<Vec<f64>>,
     /// GPS feature vector.
     gps_feats: Vec<f64>,
@@ -452,11 +453,13 @@ impl UniLocEngine {
             None
         };
         let mut non_gps_best = f64::INFINITY;
-        scratch.prelim.clear();
+        scratch.predictions.clear();
+        scratch.predictions.reserve(self.schemes.len());
         let mut j = 0usize;
         for s in &self.schemes {
             let id = s.id();
             if id == SchemeId::Gps {
+                scratch.predictions.push(gps_prediction);
                 continue;
             }
             if scratch.feats.len() <= j {
@@ -471,12 +474,12 @@ impl UniLocEngine {
                 &mut scratch.matches,
                 &mut scratch.feats[j],
             );
-            if has {
-                if let Some(p) = self.models.predict(id, io, &scratch.feats[j]) {
-                    non_gps_best = non_gps_best.min(p.mean);
-                }
+            let prediction =
+                if has { self.models.predict(id, io, &scratch.feats[j]) } else { None };
+            if let Some(p) = prediction {
+                non_gps_best = non_gps_best.min(p.mean);
             }
-            scratch.prelim.push((id, has));
+            scratch.predictions.push(prediction);
             j += 1;
         }
         let gps_enabled = match gps_prediction {
@@ -533,21 +536,7 @@ impl UniLocEngine {
             scratch
                 .posterior_means
                 .push(if estimate.is_some() { s.posterior_mean() } else { None });
-            let prediction = if id == SchemeId::Gps {
-                gps_prediction
-            } else {
-                scratch
-                    .prelim
-                    .iter()
-                    .position(|&(pid, _)| pid == id)
-                    .and_then(|k| {
-                        if scratch.prelim[k].1 {
-                            self.models.predict(id, io, &scratch.feats[k])
-                        } else {
-                            None
-                        }
-                    })
-            };
+            let prediction = scratch.predictions[idx];
             reports.push(SchemeReport { id, estimate, prediction, confidence: 0.0, weight: 0.0 });
         }
         let participates = |r: &SchemeReport| {

@@ -153,7 +153,10 @@ impl FeatureExtractor {
                 // any tower is audible), so the predicted location can
                 // actually *be* there and the WiFi-density feature
                 // correctly reports sparsity.
-                let states = hmm_state_union(ctx.wifi_db.positions(), ctx.cell_db.positions());
+                let states = hmm_state_union(
+                    ctx.wifi_db.positions().iter().copied(),
+                    ctx.cell_db.positions().iter().copied(),
+                );
                 Predictor::Hmm2(Hmm2Predictor::new(states, 2.5, 5.0).ok())
             }
             PredictorKind::Kalman => Predictor::Kalman(None),
@@ -762,8 +765,8 @@ mod tests {
         let cfg = crate::pipeline::PipelineConfig::default();
         for (i, scenario) in scenarios.iter().enumerate() {
             let ctx = crate::pipeline::build_context(scenario, &cfg, 40 + i as u64);
-            let wifi: Vec<Point> = ctx.wifi_db.positions().collect();
-            let cell: Vec<Point> = ctx.cell_db.positions().collect();
+            let wifi = ctx.wifi_db.positions().to_vec();
+            let cell = ctx.cell_db.positions().to_vec();
             let grid = hmm_state_union(wifi.iter().copied(), cell.iter().copied());
             assert_eq!(grid, linear_state_union(&wifi, &cell), "{}", scenario.name);
         }

@@ -39,6 +39,8 @@
 //! assert_eq!(state, IoState::Indoor);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use uniloc_sensors::SensorFrame;
 
 /// The detector's environment verdict.

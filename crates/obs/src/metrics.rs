@@ -213,12 +213,17 @@ impl HistogramSnapshot {
 
     /// Estimated `p`-th percentile (0..=100) by linear interpolation
     /// within the containing bucket; values in the overflow bucket clamp
-    /// to the last bound. `None` when the histogram is empty or `p` is
-    /// out of range.
+    /// to the last bound. A single recorded value is returned exactly for
+    /// every `p` (it is the whole `sum`: rejected non-finite values never
+    /// enter it). `None` when the histogram is empty or `p` is out of
+    /// range.
     pub fn percentile(&self, p: f64) -> Option<f64> {
         let n = self.count();
         if n == 0 || !(0.0..=100.0).contains(&p) {
             return None;
+        }
+        if n == 1 {
+            return Some(self.sum);
         }
         let target = (p / 100.0) * n as f64;
         let mut cum = 0u64;
@@ -636,9 +641,31 @@ mod tests {
         let h = Histogram::new(&[1.0]);
         assert_eq!(h.snapshot().percentile(50.0), None, "empty histogram");
         h.record(5.0); // overflow bucket
+        h.record(7.0);
         let s = h.snapshot();
         assert_eq!(s.percentile(50.0), Some(1.0), "overflow clamps to last bound");
         assert_eq!(s.percentile(101.0), None);
+    }
+
+    #[test]
+    fn single_sample_percentiles_are_the_sample() {
+        // Above the last bound: no clamp to the bound.
+        let h = Histogram::new(&[1.0, 2.0]);
+        h.record(57.8);
+        h.record(f64::NAN); // dropped, not part of the sum
+        let s = h.snapshot();
+        for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(s.percentile(p), Some(57.8), "p{p}");
+        }
+        assert_eq!(s.summary(), Some((57.8, 57.8, 57.8)));
+        // Inside a bucket: no interpolation toward the bucket edges.
+        let h = Histogram::new(&[1.0, 2.0, 4.0]);
+        h.record(2.5);
+        let s = h.snapshot();
+        for p in [0.0, 50.0, 99.0, 100.0] {
+            assert_eq!(s.percentile(p), Some(2.5), "p{p}");
+        }
+        assert_eq!(s.percentile(-1.0), None);
     }
 
     #[test]

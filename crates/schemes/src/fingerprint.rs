@@ -5,11 +5,19 @@
 //! different locations" — 1-3 m grids indoors, 12 m outdoors, "each offline
 //! fingerprint has one sample from each audible AP". The same machinery
 //! serves the cellular scheme over tower RSSIs.
+//!
+//! A [`FingerprintDb`] stores every fingerprint once, as flat slabs of
+//! positions and `(id, RSSI)` readings, with the inverted index and the
+//! spatial grid that accelerate lookups built over them (both in the
+//! [`index`](crate::index) module). Every RSSI distance runs the one
+//! RADAR merge, [`merge_distance`]. The surveyed `(position, scan)` pairs
+//! are a derived view, rebuilt on demand by [`FingerprintDb::entries`].
 
 use crate::estimate::LocationEstimate;
-use crate::index::SignalIndex;
+pub use crate::index::FingerprintDb;
+use uniloc_env::{ApId, TowerId};
 use uniloc_geom::Point;
-use uniloc_sensors::{CellScan, SensorHub, WifiScan};
+use uniloc_sensors::{merge_distance, CellScan, SensorHub, WifiScan};
 
 /// Default penalty (dB) charged per AP audible in only one of two compared
 /// scans.
@@ -25,50 +33,42 @@ pub const TOP_K: usize = 3;
 /// fingerprinting scheme to provide a meaningful result".
 pub const MIN_APS: usize = 3;
 
-/// Scans that support the RSSI fingerprint distance.
-pub trait RssiLike: Clone {
+/// Scans that support the RSSI fingerprint distance: a list of
+/// `(id, RSSI)` readings in ascending id order.
+pub trait RssiLike {
+    /// The transmitter id a reading is keyed by (AP or tower).
+    type Id: Ord + Copy + std::fmt::Debug;
+    /// The scan's `(id, RSSI)` readings, in ascending id order.
+    fn readings(&self) -> &[(Self::Id, f64)];
+    /// A scan holding exactly these readings.
+    fn from_readings(readings: Vec<(Self::Id, f64)>) -> Self;
     /// Fingerprint (Euclidean) distance; `None` when no APs are shared.
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64>;
+    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
+        merge_distance(self.readings(), other.readings(), missing_penalty)
+    }
     /// Whether nothing was audible.
-    fn no_signal(&self) -> bool;
-    /// Number of raw `(id, RSSI)` readings in the scan.
-    fn reading_count(&self) -> usize;
-    /// The `i`-th reading as a plain `(u32 id, RSSI)` pair, in the scan's
-    /// own reading order. The `u32` must order exactly like the typed id
-    /// (true for `ApId`/`TowerId` newtypes over `u32`), so the flat index
-    /// slabs reproduce the typed merge bit-for-bit.
-    fn reading(&self, i: usize) -> (u32, f64);
+    fn no_signal(&self) -> bool {
+        self.readings().is_empty()
+    }
 }
 
 impl RssiLike for WifiScan {
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
-        self.distance(other, missing_penalty)
+    type Id = ApId;
+    fn readings(&self) -> &[(ApId, f64)] {
+        &self.readings
     }
-    fn no_signal(&self) -> bool {
-        self.is_empty()
-    }
-    fn reading_count(&self) -> usize {
-        self.readings.len()
-    }
-    fn reading(&self, i: usize) -> (u32, f64) {
-        let (id, r) = self.readings[i];
-        (id.0, r)
+    fn from_readings(readings: Vec<(ApId, f64)>) -> Self {
+        WifiScan { readings }
     }
 }
 
 impl RssiLike for CellScan {
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
-        self.distance(other, missing_penalty)
+    type Id = TowerId;
+    fn readings(&self) -> &[(TowerId, f64)] {
+        &self.readings
     }
-    fn no_signal(&self) -> bool {
-        self.is_empty()
-    }
-    fn reading_count(&self) -> usize {
-        self.readings.len()
-    }
-    fn reading(&self, i: usize) -> (u32, f64) {
-        let (id, r) = self.readings[i];
-        (id.0, r)
+    fn from_readings(readings: Vec<(TowerId, f64)>) -> Self {
+        CellScan { readings }
     }
 }
 
@@ -118,20 +118,6 @@ pub fn top_k_posterior_mean(matches: &[FingerprintMatch]) -> Option<Point> {
     }
 }
 
-/// An offline fingerprint database over scans of type `S`.
-///
-/// Construction builds a [`SignalIndex`] (RSSI-quantized inverted index +
-/// struct-of-arrays slabs) over the entries once, so every online
-/// [`match_scan`](Self::match_scan) prunes candidates instead of scoring
-/// the whole survey — with output proven identical to the linear scan
-/// (see the `index` module docs and `tests/index_differential.rs`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FingerprintDb<S> {
-    entries: Vec<(Point, S)>,
-    missing_penalty: f64,
-    index: SignalIndex,
-}
-
 /// WiFi fingerprint database.
 pub type WifiFingerprintDb = FingerprintDb<WifiScan>;
 
@@ -142,44 +128,20 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// Builds a database from raw `(position, scan)` pairs, dropping empty
     /// scans (a fingerprint without any audible AP cannot be matched).
     pub fn from_entries(entries: impl IntoIterator<Item = (Point, S)>) -> Self {
-        let entries: Vec<(Point, S)> = entries
-            .into_iter()
-            .filter(|(_, s)| !s.no_signal())
-            .collect();
-        Self::with_entries(entries, DEFAULT_MISSING_PENALTY_DBM)
+        Self::from_parts(
+            entries.into_iter().filter(|(_, s)| !s.no_signal()),
+            S::readings,
+            DEFAULT_MISSING_PENALTY_DBM,
+        )
     }
 
-    /// Internal constructor: every database goes through here so the
-    /// signal index is always built from exactly the stored entries.
-    fn with_entries(entries: Vec<(Point, S)>, missing_penalty: f64) -> Self {
-        let index = SignalIndex::build(&entries);
-        FingerprintDb { entries, missing_penalty, index }
-    }
-
-    /// Overrides the missing-AP penalty.
-    pub fn with_missing_penalty(mut self, penalty: f64) -> Self {
-        self.missing_penalty = penalty;
-        self
-    }
-
-    /// Number of usable fingerprints.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the survey produced no usable fingerprints.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Survey positions of all fingerprints.
-    pub fn positions(&self) -> impl Iterator<Item = Point> + '_ {
-        self.entries.iter().map(|(p, _)| *p)
-    }
-
-    /// All `(position, fingerprint)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (Point, &S)> + '_ {
-        self.entries.iter().map(|(p, s)| (*p, s))
+    /// All `(position, fingerprint)` entries, each scan rebuilt from the
+    /// slab on demand.
+    pub fn entries(&self) -> impl Iterator<Item = (Point, S)> + '_ {
+        self.positions()
+            .iter()
+            .enumerate()
+            .map(|(e, &p)| (p, S::from_readings(self.entry_readings(e).to_vec())))
     }
 
     /// The `k` fingerprints closest (in RSSI space) to an online scan,
@@ -191,27 +153,20 @@ impl<S: RssiLike> FingerprintDb<S> {
         out
     }
 
-    /// [`match_scan`](Self::match_scan) into a caller-owned buffer — the
-    /// hot-path form the per-epoch loop uses to stay allocation-free.
-    pub fn match_scan_into(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
-        self.index.match_into(scan, k, self.missing_penalty, out);
-    }
-
     /// The retained linear-scan reference implementation of
-    /// [`match_scan`](Self::match_scan): scores every entry, ranks with the
-    /// same stable `total_cmp` sort. The differential suite asserts the
-    /// indexed path returns exactly this on every input; it is not used on
-    /// the hot path.
+    /// [`match_scan`](Self::match_scan): scores every materialized entry,
+    /// ranks with the same stable `total_cmp` sort. The differential suite
+    /// asserts the indexed path returns exactly this on every input; it is
+    /// not used on the hot path.
     pub fn match_scan_linear(&self, scan: &S, k: usize) -> Vec<FingerprintMatch> {
         if scan.no_signal() || k == 0 {
             return Vec::new();
         }
         let mut matches: Vec<FingerprintMatch> = self
-            .entries
-            .iter()
+            .entries()
             .filter_map(|(p, fp)| {
-                scan.fingerprint_distance(fp, self.missing_penalty)
-                    .map(|d| FingerprintMatch { position: *p, distance: d })
+                scan.fingerprint_distance(&fp, self.missing_penalty())
+                    .map(|d| FingerprintMatch { position: p, distance: d })
             })
             .collect();
         // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
@@ -222,48 +177,23 @@ impl<S: RssiLike> FingerprintDb<S> {
         matches
     }
 
-    /// Whether any fingerprint hears at least one of the scan's APs —
-    /// exactly `!match_scan(scan, 1).is_empty()`, without scoring.
-    pub fn hears_any(&self, scan: &S) -> bool {
-        self.index.hears_any(scan)
-    }
-
-    /// The signal index (slabs, inverted index and spatial grid) built
-    /// over the entries.
-    pub(crate) fn index(&self) -> &SignalIndex {
-        &self.index
-    }
-
-    /// Average spacing of fingerprints around `p`: the paper's spatial
-    /// density feature (`beta_1`) — "measured by the average distance
-    /// between two fingerprints around the location under consideration".
-    ///
-    /// Computed as the mean nearest-neighbor distance among fingerprints
-    /// within `radius` of `p`. Returns `None` when fewer than two
-    /// fingerprints are in range (density undefined — treat as very sparse).
-    pub fn local_density(&self, p: Point, radius: f64) -> Option<f64> {
-        self.index.local_density(p, radius)
-    }
-
-    /// The retained linear reference of
-    /// [`local_density`](Self::local_density), kept for the differential
-    /// suite; it is not used on the hot path.
-    pub fn local_density_linear(&self, p: Point, radius: f64) -> Option<f64> {
-        self.index.local_density_linear(p, radius)
-    }
-
     /// Thins the database so remaining fingerprints are at least
     /// `min_spacing` apart (greedy) — used for the paper's density sweep
     /// ("for larger fingerprint distances (e.g., 5 m, 10 m, and 15 m), we
     /// downsample the fine-grained fingerprint data").
     pub fn downsampled(&self, min_spacing: f64) -> Self {
-        let mut kept: Vec<(Point, S)> = Vec::new();
-        for (p, s) in &self.entries {
-            if kept.iter().all(|(q, _)| q.distance(*p) >= min_spacing) {
-                kept.push((*p, s.clone()));
+        let mut kept: Vec<usize> = Vec::new();
+        let positions = self.positions();
+        for (e, &p) in positions.iter().enumerate() {
+            if kept.iter().all(|&k| positions[k].distance(p) >= min_spacing) {
+                kept.push(e);
             }
         }
-        Self::with_entries(kept, self.missing_penalty)
+        Self::from_parts(
+            kept.into_iter().map(|e| (positions[e], self.entry_readings(e))),
+            |readings| *readings,
+            self.missing_penalty(),
+        )
     }
 }
 
@@ -315,7 +245,8 @@ mod tests {
     fn empty_scan_matches_nothing() {
         let db = synthetic_db();
         assert!(db.match_scan(&WifiScan::default(), 3).is_empty());
-        assert!(db.match_scan(&synthetic_db().entries[0].1.clone(), 0).is_empty());
+        let (_, first) = db.entries().next().unwrap();
+        assert!(db.match_scan(&first, 0).is_empty());
     }
 
     #[test]
@@ -349,7 +280,7 @@ mod tests {
     fn downsampled_respects_spacing() {
         let db = synthetic_db();
         let thin = db.downsampled(5.0);
-        let pts: Vec<Point> = thin.positions().collect();
+        let pts = thin.positions();
         for (i, a) in pts.iter().enumerate() {
             for b in pts.iter().skip(i + 1) {
                 assert!(a.distance(*b) >= 5.0);

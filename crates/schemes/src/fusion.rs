@@ -103,13 +103,13 @@ impl FusionScheme {
         // Each particle is scored by the RSSI distance between the online
         // scan and the offline fingerprint nearest to that particle.
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
-        let index = self.db.index();
+        let db = &*self.db;
         let memo = &mut self.memo;
         memo.begin_epoch();
         let _ = self.core.pf.reweight(|p| {
-            let l = match index.nearest(p.pos) {
+            let l = match db.nearest(p.pos) {
                 Some(i) => memo.get_or_insert_with(i, || {
-                    match index.entry_distance(scan, i, MISSING_PENALTY_DBM) {
+                    match db.entry_distance(scan, i, MISSING_PENALTY_DBM) {
                         Some(d) => (-d * d / two_sigma2).exp(),
                         None => 0.0,
                     }
@@ -131,11 +131,11 @@ impl FusionScheme {
         if scan.is_empty() || self.db.is_empty() || self.db.match_scan(scan, 5).is_empty() {
             return;
         }
-        let fingerprints: Vec<WifiScan> = self.db.entries().map(|(_, s)| s.clone()).collect();
+        let fingerprints: Vec<WifiScan> = self.db.entries().map(|(_, s)| s).collect();
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
-        let index = self.db.index();
+        let db = &*self.db;
         let _ = self.core.pf.reweight(|p| {
-            let l = match index.nearest(p.pos) {
+            let l = match db.nearest(p.pos) {
                 Some(i) => match scan.distance(&fingerprints[i], MISSING_PENALTY_DBM) {
                     Some(d) => (-d * d / two_sigma2).exp(),
                     None => 0.0,

@@ -1,25 +1,29 @@
-//! Signal-space and spatial candidate indexes for the fingerprint hot
-//! path.
+//! The fingerprint database's storage and its candidate indexes.
 //!
-//! Two structures live here:
+//! A [`FingerprintDb`] stores every fingerprint once, as flat slabs: the
+//! survey positions, one reading-range offset per fingerprint, and all
+//! readings back to back as the scans' own `(id, RSSI)` pairs. Two
+//! indexes are built over those slabs at construction:
 //!
-//! * [`SignalIndex`] — an RSSI-quantized inverted index keyed by
-//!   `(AP/tower id, coarse RSSI bucket)` over struct-of-arrays
-//!   fingerprint slabs (a flat `Vec<f64>` RSSI matrix with parallel
-//!   id/offset/position arrays). It accelerates
-//!   [`FingerprintDb::match_scan`](crate::fingerprint::FingerprintDb::match_scan)
-//!   by pruning to candidate fingerprints before the exact `total_cmp`
-//!   ranking, and is a **pure accelerator**: for every input it returns
-//!   exactly the matches (positions, distances, order, ties, NaN
-//!   handling) the linear scan returns — see the fallback rule below and
+//! * an RSSI-quantized inverted index keyed by `(AP/tower id, coarse RSSI
+//!   bucket)`, whose postings are fingerprint indices into the slabs. It
+//!   accelerates [`FingerprintDb::match_scan`] by pruning to candidate
+//!   fingerprints before the exact `total_cmp` ranking, and is a **pure
+//!   accelerator**: for every input it returns exactly the matches
+//!   (positions, distances, order, ties, NaN handling) the linear scan
+//!   returns — see the fallback rule below and
 //!   `tests/index_differential.rs`, which proves the equivalence
-//!   property-by-property.
+//!   property-by-property. Every candidate is scored by the one RADAR
+//!   merge, [`merge_distance`], with the scan on the left and the
+//!   fingerprint's slab slice on the right.
 //! * [`SpatialGrid`] — a dense CSR grid (cell offsets plus entry
-//!   indices) over the same survey positions, owned by the
-//!   [`SignalIndex`] and borrowing its position slab. It answers the
-//!   fusion scheme's per-particle nearest-fingerprint lookup with the
-//!   historical expanding-ring semantics, and gathers the density
-//!   feature's neighborhood without scanning the whole survey.
+//!   indices) over the position slab, borrowing it for every query. It
+//!   answers the fusion scheme's per-particle nearest-fingerprint lookup
+//!   with the historical expanding-ring semantics, and gathers the
+//!   density feature's neighborhood without scanning the whole survey.
+//!
+//! Construction from a survey, the `(position, scan)` view and the
+//! retained linear reference are in the `fingerprint` module.
 //!
 //! # Why the indexed match is provably identical
 //!
@@ -72,13 +76,14 @@ use std::cmp::Ordering;
 
 use crate::fingerprint::{FingerprintMatch, RssiLike};
 use uniloc_geom::Point;
+use uniloc_sensors::merge_distance;
 
 /// Coarse RSSI quantization width (dB) for the inverted-index bucket key.
 /// Matched to the default missing-AP penalty: candidate pruning can only
 /// skip fingerprints whose every shared AP is further than one bucket.
 pub const RSSI_BUCKET_DB: f64 = 12.0;
 
-/// Side (m) of the square cells of every index's [`SpatialGrid`].
+/// Side (m) of the square cells of every database's [`SpatialGrid`].
 const GRID_CELL_M: f64 = 5.0;
 
 /// Safety margin on the fast-path acceptance bound: strictly below
@@ -128,8 +133,8 @@ thread_local! {
     };
 }
 
-/// Reusable per-thread buffers for [`SignalIndex::match_into`] and
-/// [`SignalIndex::local_density`]: capacity grows under the alloc-meter
+/// Reusable per-thread buffers for [`FingerprintDb::match_scan_into`] and
+/// [`FingerprintDb::local_density`]: capacity grows under the alloc-meter
 /// pause (see the module docs), after which every call is allocation-free.
 struct MatchScratch {
     /// Per-entry visit stamps (generation counter) for O(1) candidate
@@ -170,59 +175,70 @@ impl MatchScratch {
     }
 }
 
-/// The RSSI-quantized inverted index plus struct-of-arrays fingerprint
-/// slab, built once at database construction.
+/// An offline fingerprint database over scans of type `S`.
+///
+/// The fingerprints live once, in flat slabs; construction also builds
+/// the RSSI-quantized inverted index and the spatial grid over them, so
+/// every online [`match_scan`](Self::match_scan) prunes candidates
+/// instead of scoring the whole survey — with output proven identical to
+/// the linear scan (see the module docs and
+/// `tests/index_differential.rs`). Its construction from a survey, its
+/// `(position, scan)` view and the linear reference are in the
+/// `fingerprint` module.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SignalIndex {
-    /// Survey position of each fingerprint, in entry order.
+pub struct FingerprintDb<S: RssiLike> {
+    /// Survey position of each fingerprint, in survey order.
     positions: Vec<Point>,
-    /// Dense spatial grid over `positions`.
-    grid: SpatialGrid,
-    /// Reading-range offsets into `ids`/`rssis`: entry `e`'s readings are
-    /// `offsets[e]..offsets[e + 1]`.
+    /// Reading-range offsets into `readings`: fingerprint `e` holds
+    /// `readings[offsets[e]..offsets[e + 1]]`.
     offsets: Vec<u32>,
-    /// Flat id array, parallel to `rssis`, readings in original order.
-    ids: Vec<u32>,
-    /// Flat RSSI matrix, parallel to `ids`.
-    rssis: Vec<f64>,
-    /// Sorted `(id, bucket)` keys of the inverted index.
-    keys: Vec<(u32, i64)>,
+    /// Every fingerprint's readings back to back, each in its scan's
+    /// ascending id order.
+    readings: Vec<(S::Id, f64)>,
+    /// Sorted `(id, RSSI bucket)` keys of the inverted index.
+    keys: Vec<(S::Id, i64)>,
     /// Posting-range offsets per key (`keys.len() + 1` entries).
     post_offsets: Vec<u32>,
-    /// Entry indices per key, ascending.
+    /// Fingerprint indices per key, ascending.
     postings: Vec<u32>,
-    /// Whether every slab RSSI is finite (fast-path precondition).
+    /// Dense spatial grid over `positions`.
+    grid: SpatialGrid,
+    /// Whether every stored RSSI is finite (fast-path precondition).
     finite: bool,
+    /// Penalty (dB) per AP audible in only one of the compared scans.
+    missing_penalty: f64,
 }
 
-impl SignalIndex {
-    /// Builds the index from `(position, scan)` entries. Deterministic:
-    /// the same entries always produce the same index bytes.
-    pub fn build<S: RssiLike>(entries: &[(Point, S)]) -> Self {
-        let n = entries.len();
-        assert!(n < u32::MAX as usize, "fingerprint database too large to index");
-        let mut positions = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut ids = Vec::new();
-        let mut rssis = Vec::new();
+impl<S: RssiLike> FingerprintDb<S> {
+    /// Builds a database from `(position, readings)` entries, taking each
+    /// entry's readings through `readings_of`: flattens them into the
+    /// slabs, then indexes the slabs. Deterministic: the same entries
+    /// always produce the same database bytes.
+    pub(crate) fn from_parts<R>(
+        entries: impl IntoIterator<Item = (Point, R)>,
+        readings_of: impl Fn(&R) -> &[(S::Id, f64)],
+        missing_penalty: f64,
+    ) -> Self {
+        let mut positions = Vec::new();
+        let mut offsets = vec![0u32];
+        let mut readings = Vec::new();
         let mut finite = true;
-        let mut tagged: Vec<((u32, i64), u32)> = Vec::new();
-        for (e, (p, s)) in entries.iter().enumerate() {
-            positions.push(*p);
-            for i in 0..s.reading_count() {
-                let (id, r) = s.reading(i);
-                ids.push(id);
-                rssis.push(r);
+        let mut tagged: Vec<((S::Id, i64), u32)> = Vec::new();
+        for (p, entry) in entries {
+            let e = positions.len() as u32;
+            positions.push(p);
+            for &(id, r) in readings_of(&entry) {
+                readings.push((id, r));
                 finite &= r.is_finite();
-                tagged.push(((id, bucket(r)), e as u32));
+                tagged.push(((id, bucket(r)), e));
             }
-            offsets.push(ids.len() as u32);
+            offsets.push(readings.len() as u32);
         }
+        assert!(positions.len() < u32::MAX as usize, "fingerprint database too large");
         tagged.sort_unstable();
         tagged.dedup();
         let mut keys = Vec::new();
-        let mut post_offsets = vec![0u32];
+        let mut post_offsets = Vec::new();
         let mut postings = Vec::with_capacity(tagged.len());
         for (key, e) in tagged {
             if keys.last() != Some(&key) {
@@ -230,20 +246,51 @@ impl SignalIndex {
                 post_offsets.push(postings.len() as u32);
             }
             postings.push(e);
-            *post_offsets.last_mut().expect("non-empty") = postings.len() as u32;
         }
+        post_offsets.push(postings.len() as u32);
         let grid = SpatialGrid::build(&positions, GRID_CELL_M);
-        SignalIndex { positions, grid, offsets, ids, rssis, keys, post_offsets, postings, finite }
+        FingerprintDb {
+            positions,
+            offsets,
+            readings,
+            keys,
+            post_offsets,
+            postings,
+            grid,
+            finite,
+            missing_penalty,
+        }
     }
 
-    /// Number of indexed fingerprints.
+    /// Overrides the missing-AP penalty.
+    pub fn with_missing_penalty(mut self, penalty: f64) -> Self {
+        self.missing_penalty = penalty;
+        self
+    }
+
+    /// Number of usable fingerprints.
     pub fn len(&self) -> usize {
         self.positions.len()
     }
 
-    /// Whether the index holds no fingerprints.
+    /// Whether the survey produced no usable fingerprints.
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
+    }
+
+    /// Survey positions of all fingerprints, in survey order.
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
+    /// The missing-AP penalty (dB) of this database's RSSI distance.
+    pub(crate) fn missing_penalty(&self) -> f64 {
+        self.missing_penalty
+    }
+
+    /// The readings of fingerprint `e`: its slice of the reading slab.
+    pub(crate) fn entry_readings(&self, e: usize) -> &[(S::Id, f64)] {
+        &self.readings[self.offsets[e] as usize..self.offsets[e + 1] as usize]
     }
 
     /// Index of the fingerprint position nearest to `p` under the grid's
@@ -252,62 +299,20 @@ impl SignalIndex {
         self.grid.nearest(&self.positions, p)
     }
 
-    /// Whether any fingerprint hears at least one of the scan's ids —
+    /// Whether any fingerprint hears at least one of the scan's APs —
     /// exactly `!match_scan(scan, 1).is_empty()`, decided from the
     /// inverted index's keys without scoring anything.
-    pub(crate) fn hears_any<S: RssiLike>(&self, scan: &S) -> bool {
-        (0..scan.reading_count()).any(|i| {
-            let id = scan.reading(i).0;
+    pub fn hears_any(&self, scan: &S) -> bool {
+        scan.readings().iter().any(|&(id, _)| {
             let at = self.keys.partition_point(|key| key.0 < id);
             self.keys.get(at).is_some_and(|key| key.0 == id)
         })
     }
 
-    /// Exact RADAR distance between `scan` and slab entry `e` — the same
-    /// merge, arithmetic and operation order as
-    /// [`uniloc_sensors::merge_distance`] with the scan on the left.
-    pub(crate) fn entry_distance<S: RssiLike>(
-        &self,
-        scan: &S,
-        e: usize,
-        missing_penalty_dbm: f64,
-    ) -> Option<f64> {
-        let lo = self.offsets[e] as usize;
-        let hi = self.offsets[e + 1] as usize;
-        let ids = &self.ids[lo..hi];
-        let rssis = &self.rssis[lo..hi];
-        let n = scan.reading_count();
-        let mut sum_sq = 0.0;
-        let mut common = 0usize;
-        let mut i = 0;
-        let mut j = 0;
-        let mut missing = 0usize;
-        while i < n && j < ids.len() {
-            let (ka, ra) = scan.reading(i);
-            match ka.cmp(&ids[j]) {
-                Ordering::Equal => {
-                    let rb = rssis[j];
-                    sum_sq += (ra - rb) * (ra - rb);
-                    common += 1;
-                    i += 1;
-                    j += 1;
-                }
-                Ordering::Less => {
-                    missing += 1;
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    missing += 1;
-                    j += 1;
-                }
-            }
-        }
-        missing += n - i + ids.len() - j;
-        if common == 0 {
-            return None;
-        }
-        sum_sq += missing as f64 * missing_penalty_dbm * missing_penalty_dbm;
-        Some((sum_sq / (common + missing) as f64).sqrt())
+    /// Exact RADAR distance between `scan` and fingerprint `e`:
+    /// [`merge_distance`] with the scan on the left.
+    pub(crate) fn entry_distance(&self, scan: &S, e: usize, penalty_dbm: f64) -> Option<f64> {
+        merge_distance(scan.readings(), self.entry_readings(e), penalty_dbm)
     }
 
     /// Appends every posting of key `ki` not yet stamped with
@@ -325,18 +330,12 @@ impl SignalIndex {
 
     /// Appends the `(entry index, distance)` score of every candidate
     /// that shares an id with the scan to `scored`.
-    fn score<S: RssiLike>(
-        &self,
-        scan: &S,
-        candidates: &mut [u32],
-        missing_penalty_dbm: f64,
-        scored: &mut Vec<(u32, f64)>,
-    ) {
+    fn score(&self, scan: &S, candidates: &mut [u32], scored: &mut Vec<(u32, f64)>) {
         // Ascending entry order for cache-friendly slab walks (the final
         // order is fixed by the comparator's entry-index tiebreak anyway).
         candidates.sort_unstable();
         for &e in candidates.iter() {
-            if let Some(d) = self.entry_distance(scan, e as usize, missing_penalty_dbm) {
+            if let Some(d) = self.entry_distance(scan, e as usize, self.missing_penalty) {
                 scored.push((e, d));
             }
         }
@@ -361,15 +360,10 @@ impl SignalIndex {
         );
     }
 
-    /// The indexed equivalent of the linear `match_scan`: fills `out`
-    /// with the `k` best matches, byte-identical to scoring every entry.
-    pub fn match_into<S: RssiLike>(
-        &self,
-        scan: &S,
-        k: usize,
-        missing_penalty_dbm: f64,
-        out: &mut Vec<FingerprintMatch>,
-    ) {
+    /// [`match_scan`](Self::match_scan) into a caller-owned buffer — the
+    /// hot-path form the per-epoch loop uses to stay allocation-free.
+    /// Byte-identical to [`match_scan_linear`](Self::match_scan_linear).
+    pub fn match_scan_into(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
         out.clear();
         if scan.no_signal() || k == 0 || self.is_empty() {
             return;
@@ -379,16 +373,16 @@ impl SignalIndex {
             scratch.reserve_for_match(self.len());
             let generation = scratch.next_generation();
             let MatchScratch { stamps, candidates, scored, .. } = scratch;
-            let readings = scan.reading_count();
+            let readings = scan.readings();
+            let missing_penalty_dbm = self.missing_penalty;
 
             // Fast path: bucket-windowed candidates. Sound only over
             // finite data (non-finite RSSIs or penalties break the gap
             // bound — and can surface sign-ambiguous NaN distances whose
             // total_cmp rank the bound cannot cover).
-            let scan_finite = (0..readings).all(|i| scan.reading(i).1.is_finite());
+            let scan_finite = readings.iter().all(|&(_, r)| r.is_finite());
             if self.finite && scan_finite && missing_penalty_dbm.is_finite() {
-                for i in 0..readings {
-                    let (id, r) = scan.reading(i);
+                for &(id, r) in readings {
                     let b = bucket(r);
                     for bb in [b.saturating_sub(1), b, b.saturating_add(1)] {
                         if let Ok(ki) = self.keys.binary_search(&(id, bb)) {
@@ -396,7 +390,7 @@ impl SignalIndex {
                         }
                     }
                 }
-                self.score(scan, candidates, missing_penalty_dbm, scored);
+                self.score(scan, candidates, scored);
                 rank_top(scored, k);
                 let accept = ACCEPT_MARGIN * RSSI_BUCKET_DB.min(missing_penalty_dbm);
                 if scored.len() >= k && scored[k - 1].1 <= accept {
@@ -409,22 +403,26 @@ impl SignalIndex {
             // with the scan (the only ones the linear scan can score).
             // Fast-path candidates keep their stamp and their score.
             candidates.clear();
-            for i in 0..readings {
-                let id = scan.reading(i).0;
+            for &(id, _) in readings {
                 let lo = self.keys.partition_point(|key| key.0 < id);
                 let hi = self.keys.partition_point(|key| key.0 <= id);
                 for ki in lo..hi {
                     self.gather(ki, generation, stamps, candidates);
                 }
             }
-            self.score(scan, candidates, missing_penalty_dbm, scored);
+            self.score(scan, candidates, scored);
             rank_top(scored, k);
             self.emit(scored, k, out);
         });
     }
 
-    /// Mean nearest-neighbor spacing of fingerprints within `radius` of
-    /// `p` — bit-identical to [`local_density_linear`](Self::local_density_linear).
+    /// Average spacing of fingerprints around `p`: the paper's spatial
+    /// density feature (`beta_1`) — "measured by the average distance
+    /// between two fingerprints around the location under consideration".
+    /// Computed as the mean nearest-neighbor spacing of the fingerprints
+    /// within `radius` of `p`; `None` when fewer than two are in range
+    /// (density undefined — treat as very sparse). Bit-identical to
+    /// [`local_density_linear`](Self::local_density_linear).
     ///
     /// The neighborhood is gathered from the grid cells that can hold a
     /// point within `radius` (then filtered by the same `distance <=
@@ -499,7 +497,7 @@ impl SignalIndex {
     /// stable-sorts the neighborhood and compares each probe with the
     /// whole neighborhood. The differential suite asserts the grid-backed
     /// path returns exactly this; it is not used on the hot path.
-    pub(crate) fn local_density_linear(&self, p: Point, radius: f64) -> Option<f64> {
+    pub fn local_density_linear(&self, p: Point, radius: f64) -> Option<f64> {
         let mut nearby: Vec<Point> =
             self.positions.iter().copied().filter(|q| q.distance(p) <= radius).collect();
         if nearby.len() < 2 {
@@ -883,48 +881,48 @@ mod tests {
             .collect()
     }
 
+    /// Scores every raw entry with the scan's own distance and ranks with
+    /// the stable `total_cmp` sort: the linear reference, computed
+    /// independently of the database.
+    fn linear(e: &[(Point, WifiScan)], online: &WifiScan, k: usize) -> Vec<FingerprintMatch> {
+        let mut linear: Vec<FingerprintMatch> = e
+            .iter()
+            .filter_map(|(p, fp)| {
+                let d = online.fingerprint_distance(fp, 12.0)?;
+                Some(FingerprintMatch { position: *p, distance: d })
+            })
+            .collect();
+        linear.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+        linear.truncate(k);
+        linear
+    }
+
     #[test]
     fn build_is_deterministic() {
         let e = entries();
-        assert_eq!(SignalIndex::build(&e), SignalIndex::build(&e));
+        assert_eq!(FingerprintDb::from_entries(e.clone()), FingerprintDb::from_entries(e));
     }
 
     #[test]
     fn match_into_equals_linear_scoring() {
         let e = entries();
-        let idx = SignalIndex::build(&e);
+        let db = FingerprintDb::from_entries(e.clone());
         let online = scan(&[(0, -52.0), (1, -55.0)]);
         let mut out = Vec::new();
-        idx.match_into(&online, 3, 12.0, &mut out);
-        let mut linear: Vec<FingerprintMatch> = e
-            .iter()
-            .filter_map(|(p, fp)| {
-                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp, 12.0)
-                    .map(|d| FingerprintMatch { position: *p, distance: d })
-            })
-            .collect();
-        linear.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        linear.truncate(3);
-        assert_eq!(out, linear);
+        db.match_scan_into(&online, 3, &mut out);
+        assert_eq!(out, linear(&e, &online, 3));
     }
 
     #[test]
     fn non_finite_readings_disable_the_fast_path_but_stay_exact() {
         let mut e = entries();
         e.push((Point::new(99.0, 0.0), scan(&[(0, f64::NAN), (1, -55.0)])));
-        let idx = SignalIndex::build(&e);
+        let db = FingerprintDb::from_entries(e.clone());
+        assert!(!db.finite);
         let online = scan(&[(1, -55.0)]);
         let mut out = Vec::new();
-        idx.match_into(&online, 5, 12.0, &mut out);
-        let mut linear: Vec<FingerprintMatch> = e
-            .iter()
-            .filter_map(|(p, fp)| {
-                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp, 12.0)
-                    .map(|d| FingerprintMatch { position: *p, distance: d })
-            })
-            .collect();
-        linear.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        linear.truncate(5);
+        db.match_scan_into(&online, 5, &mut out);
+        let linear = linear(&e, &online, 5);
         assert_eq!(out.len(), linear.len());
         for (a, b) in out.iter().zip(&linear) {
             assert_eq!(a.position, b.position);
@@ -934,12 +932,23 @@ mod tests {
 
     #[test]
     fn empty_scan_and_zero_k_match_nothing() {
-        let idx = SignalIndex::build(&entries());
+        let db = FingerprintDb::from_entries(entries());
         let mut out = vec![FingerprintMatch { position: Point::origin(), distance: 0.0 }];
-        idx.match_into(&WifiScan::default(), 3, 12.0, &mut out);
+        db.match_scan_into(&WifiScan::default(), 3, &mut out);
         assert!(out.is_empty());
-        idx.match_into(&scan(&[(0, -50.0)]), 0, 12.0, &mut out);
+        db.match_scan_into(&scan(&[(0, -50.0)]), 0, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn slab_holds_each_reading_once_in_scan_order() {
+        let e = entries();
+        let db = FingerprintDb::from_entries(e.clone());
+        assert_eq!(db.readings.len(), 2 * e.len());
+        for (i, (p, s)) in e.iter().enumerate() {
+            assert_eq!(db.entry_readings(i), s.readings.as_slice());
+            assert_eq!(db.entry_distance(s, i, 12.0), Some(0.0), "entry {i} at {p}");
+        }
     }
 
     #[test]

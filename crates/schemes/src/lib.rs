@@ -16,6 +16,8 @@
 //!
 //! [`SensorFrame`]: uniloc_sensors::SensorFrame
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod cell;
 pub mod crowdsource;
 pub mod estimate;
@@ -33,7 +35,7 @@ pub use crowdsource::RadioMapBuilder;
 pub use estimate::{LocalizationScheme, LocationEstimate, SchemeId};
 pub use horus::{HorusScheme, ProbFingerprintDb};
 pub use fingerprint::{CellFingerprintDb, FingerprintMatch, WifiFingerprintDb, MIN_APS, TOP_K};
-pub use index::{SignalIndex, SpatialGrid};
+pub use index::SpatialGrid;
 pub use fusion::FusionScheme;
 pub use gps::GpsScheme;
 pub use oracle::Oracle;

@@ -1,9 +1,10 @@
 //! Differential equivalence suite: the indexed fingerprint matcher IS the
 //! linear scan.
 //!
-//! The `SignalIndex` behind [`FingerprintDb::match_scan`] is a pure
-//! accelerator — an RSSI-quantized inverted index that prunes which
-//! entries get scored, never *how* they are scored or ranked. The whole
+//! The inverted index behind [`FingerprintDb::match_scan`] is a pure
+//! accelerator — an RSSI-quantized index over the database's slabs that
+//! prunes which entries get scored, never *how* they are scored or
+//! ranked. The whole
 //! pipeline (golden traces, chaos artifacts, the fleet differential
 //! harness) depends on that being exactly true, so this suite drives both
 //! paths with adversarial random inputs and asserts bit-level equality,
@@ -31,17 +32,21 @@
 //!   grid, kept below as the reference;
 //! * `hears_any` against `!match_scan(scan, 1).is_empty()`.
 //!
+//! Underneath all of it, the slab must round-trip the survey: the
+//! reference `match_scan_linear` scores the entries the database rebuilds
+//! from its slabs, so those must be the surveyed entries, bit for bit.
+//!
 //! Equality is asserted on `f64::to_bits`, not `==`: a NaN distance must
 //! match a NaN distance, and `-0.0` must not pass for `0.0`.
 
 use std::collections::{BTreeMap, HashMap};
-use uniloc_env::ApId;
+use uniloc_env::{ApId, TowerId};
 use uniloc_geom::Point;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
-use uniloc_schemes::fingerprint::{FingerprintDb, FingerprintMatch};
+use uniloc_schemes::fingerprint::{FingerprintDb, FingerprintMatch, RssiLike};
 use uniloc_schemes::SpatialGrid;
-use uniloc_sensors::WifiScan;
+use uniloc_sensors::{CellScan, WifiScan};
 
 const REGRESSIONS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/index_differential.regressions");
@@ -269,6 +274,65 @@ fn hears_any_equals_a_nonempty_top1_match() {
                 require_eq!(db.hears_any(scan), !db.match_scan_linear(scan, 1).is_empty());
             }
             Ok(())
+        },
+    );
+}
+
+/// The same draws as [`gen_entries`], heard from cell towers instead.
+fn gen_cell_entries(rng: &mut Rng, scale: f64) -> Vec<(Point, CellScan)> {
+    gen_entries(rng, scale)
+        .into_iter()
+        .map(|(p, s)| {
+            let readings = s.readings.iter().map(|&(ApId(a), r)| (TowerId(a), r)).collect();
+            (p, CellScan { readings })
+        })
+        .collect()
+}
+
+/// A point as bit patterns, so a NaN matches a NaN and `-0.0` does not
+/// pass for `0.0`.
+fn point_bits(p: Point) -> (u64, u64) {
+    (p.x.to_bits(), p.y.to_bits())
+}
+
+/// Entries as bit patterns (see [`point_bits`]).
+#[allow(clippy::type_complexity)]
+fn entry_bits<S: RssiLike>(
+    entries: impl IntoIterator<Item = (Point, S)>,
+) -> Vec<((u64, u64), Vec<(S::Id, u64)>)> {
+    entries
+        .into_iter()
+        .map(|(p, s)| {
+            let readings = s.readings().iter().map(|&(id, r)| (id, r.to_bits())).collect();
+            (point_bits(p), readings)
+        })
+        .collect()
+}
+
+/// `from_entries(es).entries()` is exactly the non-empty entries of `es`,
+/// in order, bit for bit; `positions()` is their positions.
+fn require_round_trip<S: RssiLike + Clone>(entries: &[(Point, S)]) -> Result<(), String> {
+    let db = FingerprintDb::from_entries(entries.to_vec());
+    let kept: Vec<(Point, S)> =
+        entries.iter().filter(|(_, s)| !s.readings().is_empty()).cloned().collect();
+    require_eq!(
+        db.positions().iter().map(|&p| point_bits(p)).collect::<Vec<_>>(),
+        kept.iter().map(|&(p, _)| point_bits(p)).collect::<Vec<_>>()
+    );
+    require_eq!(entry_bits(db.entries()), entry_bits(kept));
+    Ok(())
+}
+
+/// The slab round-trips the survey for WiFi and cellular databases alike:
+/// NaN and ±inf RSSIs, duplicate positions and duplicate fingerprints
+/// come back unchanged and in survey order, and empty scans are dropped.
+#[test]
+fn slab_round_trips_the_survey() {
+    checker("slab_round_trips_the_survey").run(
+        |rng, scale| (gen_entries(rng, scale), gen_cell_entries(rng, scale)),
+        |(wifi, cell)| {
+            require_round_trip(wifi)?;
+            require_round_trip(cell)
         },
     );
 }

@@ -67,7 +67,7 @@ fn downsample_idempotent() {
             let once = db.downsampled(*spacing);
             let twice = once.downsampled(*spacing);
             require_eq!(once.len(), twice.len());
-            let pts: Vec<Point> = once.positions().collect();
+            let pts = once.positions();
             for (i, a) in pts.iter().enumerate() {
                 for b in pts.iter().skip(i + 1) {
                     require!(a.distance(*b) >= spacing - 1e-9);
@@ -85,7 +85,7 @@ fn self_match_is_exact() {
         gen_db,
         |db| {
             for (pos, fp) in db.entries() {
-                let matches = db.match_scan(fp, 1);
+                let matches = db.match_scan(&fp, 1);
                 require!(!matches.is_empty());
                 require!(
                     matches[0].distance <= 1e-9,

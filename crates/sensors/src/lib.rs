@@ -36,6 +36,8 @@
 //! assert!(frames[10].wifi.as_ref().is_some_and(|w| !w.readings.is_empty()));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod accel;
 pub mod calibrate;
 pub mod device;

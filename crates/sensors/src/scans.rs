@@ -6,7 +6,7 @@ use uniloc_geom::GeoCoord;
 /// The RADAR fingerprint distance over any id-sorted `(id, RSSI)` reading
 /// slices: Euclidean over common ids, a `missing_penalty_dbm` charge per
 /// id audible in only one side, `None` when no id is shared. Generic over
-/// the id type so WiFi APs, cell towers and the flat index slabs all run
+/// the id type so WiFi APs, cell towers and the fingerprint slabs all run
 /// the exact same merge (and therefore produce bit-identical distances).
 pub fn merge_distance<K: Ord + Copy>(
     a: &[(K, f64)],
